@@ -1,26 +1,29 @@
-"""Local windowed and global spatio-temporal attention.
+"""Local windowed and global spatio-temporal attention, through one body.
 
-Both paths project tokens to Q/K/V with per-map linear layers, reduce the K/V
-maps with strided depth-wise convolutions, and run scaled dot-product attention
-per head. The local path (LSTA) partitions the map into non-overlapping
-(t, h, w) windows and lets each window attend to the matching window of the
-reduced map; the global path (GSTA) lets every token attend to the whole
-reduced map. With the window set to the full map extents the two are the same
-computation, which the tests exploit as an oracle.
+Tokens are projected to Q/K/V with per-map linear layers, the K/V maps are
+reduced with strided depth-wise convolutions, and scaled dot-product attention
+runs per head inside (t, h, w) windows, each window attending to the matching
+window of the reduced map. The local path (LSTA) tiles the map with
+non-overlapping windows; the global path (GSTA) is the same computation with
+one window covering the whole map. A local window set to the full map extents
+therefore gives global attention exactly, which the tests exploit as an oracle.
 
-Padding rules keep that equivalence exact: the map is zero-padded up to the
-window grid before reduction, window extents must be divisible by the
-reduction ratios (so the full-resolution and reduced window grids align), and
-reduced positions whose stride cell starts beyond the original extent are
-masked out of the softmax. For in-range positions, reducing the padded map is
-identical to reducing the original one because the conv's implicit zero
-padding and the explicit grid padding coincide.
+`PartitionRecord` is the one place the window geometry is worked out (window
+counts, padded map, reduced windows); the cost model reads it too. Padding
+rules keep the partition exact: the map is zero-padded up to the window grid
+before reduction, local window extents must be divisible by the reduction
+ratios (so the full-resolution and reduced window grids align), and reduced
+positions whose stride cell starts beyond the original extent are masked out
+of the softmax. Reduced extents are ceil(extent / ratio), as the reduction
+convolution gives, so a full-map window keeps a last, partial stride cell. For
+in-range positions, reducing the padded map is identical to reducing the
+original one because the conv's implicit zero padding and the explicit grid
+padding coincide.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -105,6 +108,24 @@ class PartitionRecord:
     counts: Extents
     extents: Extents
 
+    @classmethod
+    def of(cls, dims: Extents, extents: Extents) -> PartitionRecord:
+        """Windows of the given extents tiling a map, padded at the high end of each axis."""
+        counts = tuple(-(-d // e) for d, e in zip(dims, extents))
+        padded = tuple(n * e for n, e in zip(counts, extents))
+        return cls(orig=tuple(dims), padded=padded, counts=counts, extents=tuple(extents))
+
+    def reduced(self, ratios: Extents) -> PartitionRecord:
+        """The partition of the padded map after K/V reduction by the given ratios.
+
+        Reduced extents are ceil(extent / ratio), the stride arithmetic of the
+        reduction convolutions; `orig` of the result is the reduced padded map.
+        """
+        return PartitionRecord.of(
+            tuple(-(-n // r) for n, r in zip(self.padded, ratios)),
+            tuple(-(-e // r) for e, r in zip(self.extents, ratios)),
+        )
+
     @property
     def num_windows(self) -> int:
         nt, nh, nw = self.counts
@@ -116,6 +137,16 @@ class PartitionRecord:
         return t * h * w
 
 
+def _pad_to(x: np.ndarray, dims: Extents) -> np.ndarray:
+    """Zero-pad a (T, H, W, ...) map at the high end of each axis up to dims."""
+    if x.shape[:3] == dims:
+        return x
+    padded = np.zeros(dims + x.shape[3:], dtype=x.dtype)
+    t, h, w = x.shape[:3]
+    padded[:t, :h, :w] = x
+    return padded
+
+
 def partition_windows(x: np.ndarray, extents: Extents) -> tuple[np.ndarray, PartitionRecord]:
     """Split a (T, H, W, C) map into (num_windows, window_tokens, C).
 
@@ -124,18 +155,12 @@ def partition_windows(x: np.ndarray, extents: Extents) -> tuple[np.ndarray, Part
     padding at the high end of each axis; the record keeps both geometries so
     merge_windows can strip the padding again.
     """
-    t, h, w, c = x.shape
-    et, eh, ew = extents
-    nt, nh, nw = math.ceil(t / et), math.ceil(h / eh), math.ceil(w / ew)
-    pt, ph, pw = nt * et, nh * eh, nw * ew
-    if (pt, ph, pw) != (t, h, w):
-        padded = np.zeros((pt, ph, pw, c), dtype=x.dtype)
-        padded[:t, :h, :w, :] = x
-    else:
-        padded = x
-    win = padded.reshape(nt, et, nh, eh, nw, ew, c)
-    win = win.transpose(0, 2, 4, 1, 3, 5, 6).reshape(nt * nh * nw, et * eh * ew, c)
-    rec = PartitionRecord(orig=(t, h, w), padded=(pt, ph, pw), counts=(nt, nh, nw), extents=extents)
+    rec = PartitionRecord.of(x.shape[:3], extents)
+    nt, nh, nw = rec.counts
+    et, eh, ew = rec.extents
+    c = x.shape[-1]
+    win = _pad_to(x, rec.padded).reshape(nt, et, nh, eh, nw, ew, c)
+    win = win.transpose(0, 2, 4, 1, 3, 5, 6).reshape(rec.num_windows, rec.window_tokens, c)
     return win, rec
 
 
@@ -157,17 +182,6 @@ def reduce_kv(kmap: ClipTensor, vmap: ClipTensor, spec: ReductionSpec) -> tuple[
     return conv3d(kmap, spec.conv_k), conv3d(vmap, spec.conv_v)
 
 
-def _split_heads(tokens: np.ndarray, heads: int) -> np.ndarray:
-    """(N, C) -> (heads, N, C // heads), channel axis split into contiguous blocks."""
-    n, c = tokens.shape
-    return tokens.reshape(n, heads, c // heads).transpose(1, 0, 2)
-
-
-def _merge_heads(per_head: np.ndarray) -> np.ndarray:
-    h, n, d = per_head.shape
-    return per_head.transpose(1, 0, 2).reshape(n, h * d)
-
-
 def _project_qkv(x: ClipTensor, p: AttentionParams):
     tokens = x.tokens()
     q = linear(tokens, p.wq)
@@ -178,46 +192,34 @@ def _project_qkv(x: ClipTensor, p: AttentionParams):
     return q.reshape(shape), k.reshape(shape), v.reshape(shape)
 
 
-def _reduced_valid_mask(orig: Extents, padded: Extents, ratios: Extents) -> np.ndarray:
+def _reduced_valid_mask(orig: Extents, reduced: Extents, ratios: Extents) -> np.ndarray:
     """Bool map over the reduced padded grid; True where the stride cell starts in range."""
-    rt, rh, rw = ratios
-    jt = np.arange(padded[0] // rt) * rt < orig[0]
-    jh = np.arange(padded[1] // rh) * rh < orig[1]
-    jw = np.arange(padded[2] // rw) * rw < orig[2]
-    return (jt[:, None, None] & jh[None, :, None] & jw[None, None, :])
+    jt, jh, jw = (np.arange(n) * r < o for n, r, o in zip(reduced, ratios, orig))
+    return jt[:, None, None] & jh[None, :, None] & jw[None, None, :]
 
 
-def lsta_forward(x: ClipTensor, p: AttentionParams) -> ClipTensor:
-    """Windowed attention against the matching windows of the reduced K/V maps."""
-    if p.kind != "local":
-        raise ConfigError("lsta_forward requires local attention params")
-    t, h, w = x.dims
-    ext = p.window.extents
+def _attend(x: ClipTensor, p: AttentionParams, extents: Extents) -> ClipTensor:
+    """Each window of the map attends to the matching window of the reduced K/V maps."""
     ratios = p.reduction.ratios
     q, k, v = _project_qkv(x, p)
 
-    qw, rec = partition_windows(q, ext)
+    qw, rec = partition_windows(q, extents)
+    red = rec.reduced(ratios)
     # Reduce the padded K/V maps so the reduced grid tiles into exactly one
     # reduced window per full-resolution window.
-    pad_dims = rec.padded
-    if pad_dims != (t, h, w):
-        kp = np.zeros(pad_dims + (p.channels,), dtype=k.dtype)
-        kp[:t, :h, :w] = k
-        vp = np.zeros(pad_dims + (p.channels,), dtype=v.dtype)
-        vp[:t, :h, :w] = v
-    else:
-        kp, vp = k, v
-    kred, vred = reduce_kv(ClipTensor(kp), ClipTensor(vp), p.reduction)
-    red_ext = tuple(e // r for e, r in zip(ext, ratios))
-    kw, krec = partition_windows(kred.data, red_ext)
-    vw, _ = partition_windows(vred.data, red_ext)
+    kred, vred = reduce_kv(ClipTensor(_pad_to(k, rec.padded)), ClipTensor(_pad_to(v, rec.padded)),
+                           p.reduction)
+    kw, krec = partition_windows(kred.data, red.extents)
+    vw, _ = partition_windows(vred.data, red.extents)
     if krec.counts != rec.counts:
         raise ConfigError(
             f"window grids misaligned: {rec.counts} full-resolution vs {krec.counts} reduced"
         )
-    valid = _reduced_valid_mask((t, h, w), rec.padded, ratios)
-    maskw, _ = partition_windows(valid[..., None], red_ext)
-    keymask = maskw[..., 0]  # (num_windows, reduced_window_tokens)
+    valid = _reduced_valid_mask(rec.orig, red.orig, ratios)
+    mask = None
+    if not valid.all():
+        maskw, _ = partition_windows(valid[..., None], red.extents)
+        mask = maskw[:, None, None, :, 0]  # (num_windows, 1, 1, reduced_window_tokens)
 
     heads, dh = p.heads, p.channels // p.heads
     nwin = rec.num_windows
@@ -225,28 +227,23 @@ def lsta_forward(x: ClipTensor, p: AttentionParams) -> ClipTensor:
     kh = kw.reshape(nwin, krec.window_tokens, heads, dh).transpose(0, 2, 1, 3).astype(np.float64)
     vh = vw.reshape(nwin, krec.window_tokens, heads, dh).transpose(0, 2, 1, 3).astype(np.float64)
     scores = (qh * dh ** -0.5) @ kh.transpose(0, 1, 3, 2)
-    attn = softmax(scores, mask=keymask[:, None, None, :])
+    attn = softmax(scores, mask=mask)
     out = attn @ vh  # (nwin, heads, window_tokens, dh)
     out = out.transpose(0, 2, 1, 3).reshape(nwin, rec.window_tokens, p.channels)
     merged = merge_windows(out, rec).astype(x.data.dtype)
     y = linear(merged.reshape(-1, p.channels), p.wo)
-    return ClipTensor(y.reshape(t, h, w, p.channels))
+    return ClipTensor(y.reshape(x.dims + (p.channels,)))
+
+
+def lsta_forward(x: ClipTensor, p: AttentionParams) -> ClipTensor:
+    """Windowed attention against the matching windows of the reduced K/V maps."""
+    if p.kind != "local":
+        raise ConfigError("lsta_forward requires local attention params")
+    return _attend(x, p, p.window.extents)
 
 
 def gsta_forward(x: ClipTensor, p: AttentionParams) -> ClipTensor:
-    """Every token attends to the globally reduced K/V maps."""
+    """Every token attends to the whole reduced K/V maps: one window over the full map."""
     if p.kind != "global":
         raise ConfigError("gsta_forward requires global attention params")
-    t, h, w = x.dims
-    q, k, v = _project_qkv(x, p)
-    kred, vred = reduce_kv(ClipTensor(k), ClipTensor(v), p.reduction)
-
-    heads, dh = p.heads, p.channels // p.heads
-    qh = _split_heads(q.reshape(-1, p.channels), heads).astype(np.float64)
-    kh = _split_heads(kred.tokens(), heads).astype(np.float64)
-    vh = _split_heads(vred.tokens(), heads).astype(np.float64)
-    scores = (qh * dh ** -0.5) @ kh.transpose(0, 2, 1)
-    attn = softmax(scores)
-    out = _merge_heads(attn @ vh).astype(x.data.dtype)
-    y = linear(out, p.wo)
-    return ClipTensor(y.reshape(t, h, w, p.channels))
+    return _attend(x, p, x.dims)

@@ -4,9 +4,7 @@ Each stage is a strided patch embedding followed by a run of identical blocks.
 A block is: depth-wise conv positional encoding added residually, then
 pre-norm attention (local windowed in early stages, global in late stages),
 then a pre-norm MLP, all with residual connections. Patch embeddings carry the
-channel changes between stages; blocks may optionally expand channels through
-the MLP with a learned linear shortcut on the residual path, but no default
-profile uses that.
+channel changes between stages; a block keeps its channel count.
 """
 
 from __future__ import annotations
@@ -63,6 +61,17 @@ class StageSpec:
         return self.heads if self.heads else max(1, self.channels // HEAD_CHANNELS)
 
 
+def _embedded_extents(input_dims: Extents,
+                      kernels_strides: list[tuple[Extents, Extents]]) -> list[Extents]:
+    """Map extents after each of a chain of patch embeddings (padding kernel // 2)."""
+    dims = input_dims
+    out = []
+    for kernel, stride in kernels_strides:
+        dims = tuple(conv_output_extent(n, k, s, k // 2) for n, k, s in zip(dims, kernel, stride))
+        out.append(dims)
+    return out
+
+
 @dataclasses.dataclass(frozen=True)
 class ModelConfig:
     stages: tuple[StageSpec, ...]
@@ -82,15 +91,8 @@ class ModelConfig:
 
     def stage_dims(self) -> list[Extents]:
         """Feature-map extents after each stage's patch embedding."""
-        dims = self.input_dims
-        out = []
-        for spec in self.stages:
-            dims = tuple(
-                conv_output_extent(n, k, s, k // 2)
-                for n, k, s in zip(dims, spec.patch_kernel, spec.patch_stride)
-            )
-            out.append(dims)
-        return out
+        return _embedded_extents(self.input_dims,
+                                 [(s.patch_kernel, s.patch_stride) for s in self.stages])
 
     def stage_in_channels(self) -> list[int]:
         chans = [self.in_channels] + [s.channels for s in self.stages[:-1]]
@@ -124,16 +126,10 @@ def default_config(
         dict(channels=768, depth=2, patch_kernel=(3, 3, 3), patch_stride=(2, 2, 2),
              reduction=(1, 1, 1), windows=None),
     ]
-    # Derive per-stage map extents first; late stages switched to local get a
-    # temporal-8 window over their full (small) spatial extent.
-    dims = input_dims
-    stage_dims = []
-    for spec in base:
-        dims = tuple(
-            conv_output_extent(n, k, s, k // 2)
-            for n, k, s in zip(dims, spec["patch_kernel"], spec["patch_stride"])
-        )
-        stage_dims.append(dims)
+    # Late stages switched to local get a temporal-8 window over their full
+    # (small) spatial extent.
+    stage_dims = _embedded_extents(input_dims,
+                                   [(s["patch_kernel"], s["patch_stride"]) for s in base])
     stages = []
     for i, (spec, letter) in enumerate(zip(base, variant)):
         kind = "local" if letter == "L" else "global"
@@ -193,7 +189,6 @@ class BlockWeights:
     ln2: LayerNormWeights
     mlp_in: LinearWeights
     mlp_out: LinearWeights
-    shortcut: LinearWeights | None = None  # set iff the MLP expands channels
 
 
 @dataclasses.dataclass(frozen=True)
@@ -303,14 +298,8 @@ def stpt_block(x: ClipTensor, w: BlockWeights, cpe_enabled: bool = True) -> Clip
     x = ClipTensor(x.data + attn.data)
     normed2 = layer_norm(x.tokens(), w.ln2.gamma, w.ln2.beta)
     hidden = gelu(linear(normed2, w.mlp_in))
-    mlp = linear(hidden, w.mlp_out)
-    if w.shortcut is None:
-        if w.mlp_out.out_channels != c:
-            raise ConfigError("channel-expanding block requires a shortcut projection")
-        out = x.tokens() + mlp
-    else:
-        out = linear(x.tokens(), w.shortcut) + mlp
-    return ClipTensor(out.reshape(dims + (out.shape[-1],)))
+    out = x.tokens() + linear(hidden, w.mlp_out)
+    return ClipTensor(out.reshape(dims + (c,)))
 
 
 def backbone_forward(x: ClipTensor, weights: ModelWeights, cfg: ModelConfig) -> BackboneOutput:

@@ -33,12 +33,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="run configuration file")
     p.add_argument("--variant", choices=VARIANTS,
                    help="override the per-stage attention kinds")
-    p.add_argument("--threads", type=int, default=None, metavar="N",
-                   help="worker threads for evaluation (default from config)")
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
-    return load_run_config(args.config, variant=args.variant, threads=args.threads)
+    return load_run_config(args.config, variant=args.variant)
 
 
 def cmd_describe(args: argparse.Namespace) -> int:
@@ -135,8 +133,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load(args)
     preds = read_candidates(args.preds)
     gts = read_ground_truth(args.gts)
-    result = evaluate(preds, gts, cfg.eval_cfg, threads=cfg.threads,
-                      apply_nms=not args.skip_nms)
+    result = evaluate(preds, gts, cfg.eval_cfg, apply_nms=not args.skip_nms)
     print(render_map_table(result))
     return 0
 

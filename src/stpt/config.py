@@ -32,7 +32,9 @@ Grammar (INI style, all keys optional):
     [run]
     seed = 0
     precision = f32 | f64
-    threads = 1
+
+Out-of-range values are rejected: [detection] fps must be finite and positive,
+top_k at least 1, nms_threshold in [0, 1] and nms_sigma positive.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ _SCHEMA = {
         "nms_mode": str, "nms_threshold": float, "nms_sigma": float,
     },
     "io": {"input": str, "output_dir": str},
-    "run": {"seed": int, "precision": str, "threads": int},
+    "run": {"seed": int, "precision": str},
 }
 
 _DEFAULTS = {
@@ -85,7 +87,7 @@ _DEFAULTS = {
               "variant": "LLGG", "cpe": True, "lsta_temporal": (8, 8, 16)},
     "detection": {"profile": "thumos", "num_classes": 20, "fps": 10.0},
     "io": {"input": "", "output_dir": "stpt_out"},
-    "run": {"seed": 0, "precision": "f32", "threads": 1},
+    "run": {"seed": 0, "precision": "f32"},
 }
 
 
@@ -99,7 +101,6 @@ class RunConfig:
     input_path: str | None
     output_dir: str
     seed: int
-    threads: int
 
     def effective(self) -> dict:
         """Every setting that influences a run, as plain JSON-safe values."""
@@ -132,7 +133,7 @@ class RunConfig:
             # output_dir is a pure sink: it never affects computed values, so
             # it stays out of the hash. The input path does affect them.
             "io": {"input": self.input_path or ""},
-            "run": {"seed": self.seed, "threads": self.threads},
+            "run": {"seed": self.seed},
         }
 
     def config_hash(self) -> str:
@@ -173,12 +174,10 @@ def _typed(raw: dict[str, dict[str, str]]) -> dict[str, dict]:
     return values
 
 
-def load_run_config(path: str | None = None, variant: str | None = None,
-                    threads: int | None = None) -> RunConfig:
+def load_run_config(path: str | None = None, variant: str | None = None) -> RunConfig:
     """Build the effective configuration from a file plus CLI overrides.
 
-    variant overrides [model] variant; threads overrides [run] threads;
-    STPT_SEED overrides [run] seed.
+    variant overrides [model] variant; STPT_SEED overrides [run] seed.
     """
     raw = _read_ini(path) if path is not None else {}
     values = _typed(raw)
@@ -186,8 +185,6 @@ def load_run_config(path: str | None = None, variant: str | None = None,
 
     if variant is not None:
         mv["variant"] = variant
-    if threads is not None:
-        rv["threads"] = threads
     env_seed = os.environ.get("STPT_SEED")
     if env_seed is not None:
         try:
@@ -197,8 +194,6 @@ def load_run_config(path: str | None = None, variant: str | None = None,
 
     if rv["precision"] not in ("f32", "f64"):
         raise ConfigError(f"[run] precision must be f32 or f64, got {rv['precision']!r}")
-    if rv["threads"] < 1:
-        raise ConfigError(f"[run] threads must be at least 1, got {rv['threads']}")
 
     if mv["preset"] == "toy":
         for key in ("frames", "height", "width", "lsta_temporal"):
@@ -228,8 +223,7 @@ def load_run_config(path: str | None = None, variant: str | None = None,
     input_path = iov["input"] or None
     return RunConfig(model=model, det=det, eval_cfg=eval_cfg, loss=loss,
                      profile=profile, input_path=input_path,
-                     output_dir=iov["output_dir"], seed=rv["seed"],
-                     threads=rv["threads"])
+                     output_dir=iov["output_dir"], seed=rv["seed"])
 
 
 def write_default_config(path: str | Path) -> None:

@@ -14,15 +14,12 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from .attention import PartitionRecord
 from .backbone import Extents, ModelConfig
 from .errors import ConfigError
-from .heads import DetectionConfig
+from .heads import DetectionConfig, pyramid_lengths
 
 AUX_FLOPS_PER_ELEMENT = 5
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,32 +45,27 @@ def attention_cost(dims: Extents, channels: int, heads: int, kind: str,
                    ratios: Extents = (1, 1, 1)) -> AttentionCost:
     """Cost of one attention application on a map of the given extents.
 
-    Local attention pays for every window in the padded grid and for the
-    key/value reduction convolutions run on the padded map; global attention
-    reduces the unpadded map. Reduced extents follow the stride arithmetic of
-    the reduction convolutions (ceil division).
+    Attention pays for every window in the padded grid and for the key/value
+    reduction convolutions run on the padded map. Global attention is one
+    window over the whole map. The geometry is the runtime's own
+    `PartitionRecord`, so reduced extents follow the stride arithmetic of the
+    reduction convolutions (ceil division).
     """
     if kind not in ("local", "global"):
         raise ConfigError(f"attention kind must be local or global, got {kind!r}")
+    if kind == "global":
+        window = dims
+    elif window is None:
+        raise ConfigError("local attention cost needs a window")
+    rec = PartitionRecord.of(dims, window)
+    red = rec.reduced(ratios)
     n = math.prod(dims)
     c = channels
     qkv = 3 * n * c * c
     proj = n * c * c
-    if kind == "local":
-        if window is None:
-            raise ConfigError("local attention cost needs a window")
-        nw = math.prod(_ceil_div(e, w) for e, w in zip(dims, window))
-        padded = tuple(_ceil_div(e, w) * w for e, w in zip(dims, window))
-        red_positions = math.prod(_ceil_div(p, r) for p, r in zip(padded, ratios))
-        win_tokens = math.prod(window)
-        red_win = math.prod(_ceil_div(w, r) for w, r in zip(window, ratios))
-        rows = nw * win_tokens
-        cols = red_win
-    else:
-        red_positions = math.prod(_ceil_div(e, r) for e, r in zip(dims, ratios))
-        rows = n
-        cols = red_positions
-    reduction = 2 * red_positions * c * 27
+    rows = rec.num_windows * rec.window_tokens
+    cols = red.window_tokens
+    reduction = 2 * math.prod(red.orig) * c * 27
     score = 2 * rows * cols * c
     softmax = heads * rows * cols
     params = 4 * (c * c + c) + 2 * (27 * c + c)
@@ -156,20 +148,14 @@ def _head_lines(cfg: ModelConfig, det: DetectionConfig,
     cp = det.pyramid_channels
     k = det.num_classes
     lines = []
-    lengths = []
     for i, (dims, spec) in enumerate(zip(stage_dims[-2:], cfg.stages[-2:])):
         t, h, w = dims
         macs = t * cp * (h * w * spec.channels)
         params = cp * spec.channels * h * w + cp
         lines.append(CostLine("pyramid", f"collapse{i}", "conv", macs, t * cp, params))
-        lengths.append(t)
-    t = lengths[-1]
-    down_macs = down_aux = 0
-    for _ in range(det.num_levels - 2):
-        t = _ceil_div(t, 2)
-        down_macs += t * cp * 3 * cp
-        down_aux += t * cp
-        lengths.append(t)
+    lengths = pyramid_lengths(cfg, det)
+    down_macs = sum(t * cp * 3 * cp for t in lengths[2:])
+    down_aux = sum(t * cp for t in lengths[2:])
     down_params = (det.num_levels - 2) * (cp * cp * 3 + cp)
     lines.append(CostLine("pyramid", "downs", "conv", down_macs, down_aux, down_params))
 

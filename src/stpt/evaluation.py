@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import json
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +49,12 @@ class EvalConfig:
             raise ConfigError(f"nms_mode must be linear or gaussian, got {self.nms_mode!r}")
         if not self.thresholds:
             raise ConfigError("at least one tIoU threshold is required")
+        if not (self.top_k >= 1):
+            raise ConfigError(f"top_k must be at least 1, got {self.top_k}")
+        if not (0.0 <= self.nms_threshold <= 1.0):
+            raise ConfigError(f"nms_threshold must lie in [0, 1], got {self.nms_threshold}")
+        if not (self.nms_sigma > 0.0):
+            raise ConfigError(f"nms_sigma must be positive, got {self.nms_sigma}")
 
 
 def eval_profile(name: str) -> EvalConfig:
@@ -148,34 +153,22 @@ class EvalResult:
 
 
 def evaluate(preds: list[DetectionCandidate], gts: list[GroundTruthInstance],
-             cfg: EvalConfig, threads: int = 1, apply_nms: bool = True) -> EvalResult:
+             cfg: EvalConfig, apply_nms: bool = True) -> EvalResult:
     """Soft-NMS per video and class, per-video top-k, then per-class AP.
 
     Classes that appear only in predictions are excluded from the mean and
-    reported. Results do not depend on the input ordering of predictions, and
-    threads > 1 only spreads the per-group suppression work: groups are merged
-    in sorted key order, so the result is identical at any thread count.
+    reported. Results do not depend on the input ordering of predictions:
+    groups are merged in sorted key order.
     """
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
     groups: dict[tuple[str, int], list[DetectionCandidate]] = defaultdict(list)
     for c in preds:
         groups[(c.video_id, c.class_id)].append(c)
-    ordered = sorted(groups.items())
-
-    def _suppress(cs: list[DetectionCandidate]) -> list[DetectionCandidate]:
-        if not apply_nms:
-            return cs
-        return soft_nms(cs, mode=cfg.nms_mode, threshold=cfg.nms_threshold, sigma=cfg.nms_sigma)
-
-    if threads > 1 and len(ordered) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            kept_lists = list(pool.map(_suppress, [cs for _, cs in ordered]))
-    else:
-        kept_lists = [_suppress(cs) for _, cs in ordered]
     by_video: dict[str, list[DetectionCandidate]] = defaultdict(list)
-    for ((vid, _), _cs), kept in zip(ordered, kept_lists):
-        by_video[vid].extend(kept)
+    for (vid, _), cs in sorted(groups.items()):
+        if apply_nms:
+            cs = soft_nms(cs, mode=cfg.nms_mode, threshold=cfg.nms_threshold,
+                          sigma=cfg.nms_sigma)
+        by_video[vid].extend(cs)
     surviving: list[DetectionCandidate] = []
     for vid in sorted(by_video):
         cs = sorted(by_video[vid], key=lambda c: (-c.score, c.t_start, c.class_id))

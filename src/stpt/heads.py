@@ -36,6 +36,8 @@ class DetectionConfig:
             raise ConfigError("pyramid needs at least the two stage-fed levels")
         if self.num_classes < 1 or self.pyramid_channels < 1:
             raise ConfigError("num_classes and pyramid_channels must be positive")
+        if not (0.0 < self.clip_fps < math.inf):
+            raise ConfigError(f"fps must be finite and positive, got {self.clip_fps}")
 
 
 def pyramid_lengths(model_cfg: ModelConfig, det_cfg: DetectionConfig) -> list[int]:

@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .tensor import Rng, gradcheck
+from .tensor import Rng, gradcheck, sigmoid
 
 
 @dataclasses.dataclass(frozen=True)
@@ -33,11 +33,6 @@ def loss_profile(name: str) -> LossConfig:
     raise ConfigError(f"unknown loss profile {name!r}")
 
 
-def _sigmoid64(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
-
-
 def focal_loss(logits: np.ndarray, targets: np.ndarray, gamma: float = 2.0,
                alpha: float = 0.25, eps: float = 1e-7) -> tuple[float, np.ndarray]:
     """Mean focal binary cross-entropy over all entries.
@@ -50,7 +45,7 @@ def focal_loss(logits: np.ndarray, targets: np.ndarray, gamma: float = 2.0,
     t = np.asarray(targets, dtype=np.float64)
     if z.shape != t.shape:
         raise ConfigError(f"focal_loss: shape mismatch {z.shape} vs {t.shape}")
-    p = np.clip(_sigmoid64(z), eps, 1.0 - eps)
+    p = np.clip(sigmoid(z), eps, 1.0 - eps)
     pos = -alpha * (1.0 - p) ** gamma * np.log(p)
     neg = -(1.0 - alpha) * p ** gamma * np.log(1.0 - p)
     loss = np.where(t > 0.5, pos, neg).mean()
@@ -114,9 +109,9 @@ def quality_loss(logits: np.ndarray, target: np.ndarray, eps: float = 1e-7) -> t
         raise ConfigError("quality_loss targets must lie in [0, 1]")
     if z.size == 0:
         return 0.0, np.zeros_like(z)
-    p = np.clip(_sigmoid64(z), eps, 1.0 - eps)
+    p = np.clip(sigmoid(z), eps, 1.0 - eps)
     loss = float((-t * np.log(p) - (1.0 - t) * np.log(1.0 - p)).mean())
-    grad = (_sigmoid64(z) - t) / z.size
+    grad = (sigmoid(z) - t) / z.size
     return loss, grad
 
 

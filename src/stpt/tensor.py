@@ -314,9 +314,6 @@ class Rng:
     def integers(self, low: int, high: int, shape=()) -> np.ndarray:
         return self._gen.integers(low, high, size=shape)
 
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
 
 # Binary tensor file format: magic, version u16, dtype u8 (0=f32, 1=f64),
 # rank u8, then rank little-endian u64 dims, then raw little-endian scalars

@@ -103,7 +103,7 @@ def _zero_conv(c, kernel=(3, 3, 3), stride=(1, 1, 1), padding=(1, 1, 1), groups=
                          stride=stride, padding=padding, groups=groups)
 
 
-def _zero_block(c, heads=1, shortcut_out=None):
+def _zero_block(c, heads=1):
     attn = AttentionParams(
         channels=c, heads=heads,
         wq=_zero_linear(c, c), wk=_zero_linear(c, c),
@@ -111,15 +111,13 @@ def _zero_block(c, heads=1, shortcut_out=None):
         kind="global",
         reduction=ReductionSpec(ratios=(1, 1, 1), conv_k=_zero_conv(c), conv_v=_zero_conv(c)),
     )
-    out_c = shortcut_out if shortcut_out else c
     return BlockWeights(
         cpe=_zero_conv(c),
         ln1=LayerNormWeights(gamma=np.ones(c), beta=np.zeros(c)),
         attn=attn,
         ln2=LayerNormWeights(gamma=np.ones(c), beta=np.zeros(c)),
         mlp_in=_zero_linear(c, 2 * c),
-        mlp_out=_zero_linear(2 * c, out_c),
-        shortcut=_zero_linear(c, shortcut_out) if shortcut_out else None,
+        mlp_out=_zero_linear(2 * c, c),
     )
 
 
@@ -150,17 +148,6 @@ def test_cpe_toggle_changes_output():
     without = stpt_block(x, block, cpe_enabled=False)
     assert not np.allclose(with_cpe.data, without.data)
     np.testing.assert_array_equal(without.data, x.data)
-
-
-def test_expanding_block_needs_shortcut():
-    c = 4
-    block = _zero_block(c, shortcut_out=2 * c)
-    x = ClipTensor(Rng(2).normal((2, 2, 2, c)))
-    out = stpt_block(x, block, cpe_enabled=False)
-    assert out.channels == 2 * c
-    bad = dataclasses.replace(block, shortcut=None)
-    with pytest.raises(ConfigError, match="shortcut"):
-        stpt_block(x, bad, cpe_enabled=False)
 
 
 def test_init_is_deterministic():

@@ -135,6 +135,13 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_forward_zero_fps_is_config_error(tmp_path, capsys):
+    ini = _toy_ini(tmp_path, extra="[detection]\nfps = 0\n")
+    assert main(["forward", "--config", ini]) == 2
+    assert "fps" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_eval_inputs_exit_code(tmp_path, capsys):
     assert main(["eval", "--preds", str(tmp_path / "nope.jsonl"),
                  "--gts", str(tmp_path / "nope2.jsonl")]) == 3
@@ -152,7 +159,7 @@ def test_synth_then_eval_closure(tmp_path, capsys):
     capsys.readouterr()
     outdir = tmp_path / "out"
     assert main(["eval", "--config", ini, "--preds", str(outdir / "preds.jsonl"),
-                 "--gts", str(outdir / "gts.jsonl"), "--threads", "2"]) == 0
+                 "--gts", str(outdir / "gts.jsonl")]) == 0
     table = capsys.readouterr().out
     assert table.splitlines()[-1].split() == ["Avg", "100.00"]
 

@@ -25,7 +25,7 @@ def test_defaults_reproduce_standard_setup():
     assert cfg.profile == "thumos"
     assert cfg.eval_cfg.thresholds == (0.3, 0.4, 0.5, 0.6, 0.7)
     assert cfg.loss.lambda_loc == 10.0
-    assert cfg.seed == 0 and cfg.threads == 1
+    assert cfg.seed == 0
     assert cfg.input_path is None and cfg.output_dir == "stpt_out"
     assert cfg.model.dtype == "f32"
 
@@ -47,9 +47,18 @@ def test_unknown_key_rejected(tmp_path):
     ("[model]\ncpe = maybe\n", "cpe"),
     ("[model]\nlsta_temporal = 1,2\n", "lsta_temporal"),
     ("[run]\nprecision = f16\n", "precision"),
-    ("[run]\nthreads = 0\n", "threads"),
     ("[model]\npreset = huge\n", "preset"),
     ("[detection]\nprofile = charades\n", "charades"),
+    ("[detection]\nfps = 0\n", "fps"),
+    ("[detection]\nfps = -1\n", "fps"),
+    ("[detection]\nfps = nan\n", "fps"),
+    ("[detection]\nfps = inf\n", "fps"),
+    ("[detection]\ntop_k = 0\n", "top_k"),
+    ("[detection]\nnms_threshold = 7\n", "nms_threshold"),
+    ("[detection]\nnms_threshold = -0.1\n", "nms_threshold"),
+    ("[detection]\nnms_threshold = nan\n", "nms_threshold"),
+    ("[detection]\nnms_mode = gaussian\nnms_sigma = 0\n", "nms_sigma"),
+    ("[detection]\nnms_sigma = nan\n", "nms_sigma"),
 ])
 def test_bad_values_are_named(tmp_path, text, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -60,7 +69,7 @@ def test_missing_and_malformed_files(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_run_config(str(tmp_path / "absent.ini"))
     with pytest.raises(ConfigError, match="malformed"):
-        load_run_config(_write(tmp_path, "threads = 4\n"))
+        load_run_config(_write(tmp_path, "seed = 4\n"))
 
 
 def test_toy_preset(tmp_path):
@@ -82,10 +91,9 @@ def test_model_knobs(tmp_path):
 
 
 def test_cli_overrides_beat_file(tmp_path):
-    path = _write(tmp_path, "[model]\nvariant = LLGG\n[run]\nthreads = 2\n")
-    cfg = load_run_config(path, variant="LLLL", threads=8)
+    path = _write(tmp_path, "[model]\nvariant = LLGG\n")
+    cfg = load_run_config(path, variant="LLLL")
     assert all(s.kind == "local" for s in cfg.model.stages)
-    assert cfg.threads == 8
 
 
 def test_env_seed_override(tmp_path, monkeypatch):

@@ -2,13 +2,17 @@
 
 import dataclasses
 import math
+from collections import defaultdict
 
+import numpy as np
 import pytest
 
-from stpt.backbone import default_config
+from stpt import attention, backbone, tensor
+from stpt.backbone import backbone_forward, default_config, init_model_weights, toy_config
 from stpt.costs import AUX_FLOPS_PER_ELEMENT, attention_cost, model_cost
 from stpt.errors import ConfigError
 from stpt.heads import DetectionConfig
+from stpt.tensor import ClipTensor, Rng
 
 
 def test_attention_cost_validation():
@@ -148,3 +152,71 @@ def test_head_cost_optional():
     assert with_head.total_flops > without.total_flops
     assert not any(ln.stage in ("pyramid", "head") for ln in without.lines)
     assert any(ln.stage == "head" for ln in with_head.lines)
+
+
+@pytest.mark.parametrize("variant", ["LLLL", "LLLG", "LLGG", "LGGG", "GGGG"])
+def test_runtime_work_matches_model_cost(monkeypatch, variant):
+    """Every backbone line of model_cost equals the work one forward really does.
+
+    MACs come from the shapes passed to linear and conv3d, plus the attention
+    score and value products, which run as plain matmuls: each softmax entry
+    costs one MAC per head channel in Q.K and one more in the product with V.
+    Aux elements come from layer_norm, gelu and softmax. Calls are keyed by the
+    (stage, unit, part) of the patch embedding or block that makes them.
+    """
+    cfg = toy_config(variant=variant)
+    weights = init_model_weights(cfg, Rng(0))
+    labels = {}
+    for si, sw in enumerate(weights.stages):
+        labels[id(sw.embed)] = (f"stage{si + 1}", "embed")
+        for bi, bw in enumerate(sw.blocks):
+            labels[id(bw)] = (f"stage{si + 1}", f"block{bi}")
+    scope = []  # (stage, unit) of the running embed or block, then the attention params
+    counted = defaultdict(lambda: [0, 0])
+
+    def enter(fn, note):
+        def wrapper(*args, **kwargs):
+            scope.append(note(args))
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                scope.pop()
+        return wrapper
+
+    def count(fn, block_part, work):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            (stage, unit), attn = scope[0], scope[1] if len(scope) > 1 else None
+            part = "conv" if unit == "embed" else "attention" if attn else block_part
+            macs, aux = work(args, out, attn)
+            counted[(stage, unit, part)][0] += macs
+            counted[(stage, unit, part)][1] += aux
+            return out
+        return wrapper
+
+    kernels = {
+        "linear": ("mlp", lambda a, out, p: (math.prod(a[0].shape[:-1]) * a[1].weight.size, 0)),
+        "conv3d": ("cpe", lambda a, out, p: (math.prod(out.dims) * a[1].weight.size, 0)),
+        "layer_norm": ("norm", lambda a, out, p: (0, a[0].size)),
+        "gelu": ("mlp", lambda a, out, p: (0, a[0].size)),
+        "softmax": (None, lambda a, out, p: (2 * a[0].size * (p.channels // p.heads),
+                                             a[0].size)),
+    }
+    for name, (part, work) in kernels.items():
+        wrapped = count(getattr(tensor, name), part, work)
+        for mod in (tensor, backbone, attention):
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, wrapped)
+    for name in ("patch_embed", "stpt_block"):
+        monkeypatch.setattr(backbone, name,
+                            enter(getattr(backbone, name), lambda a: labels[id(a[1])]))
+    for name in ("lsta_forward", "gsta_forward"):
+        monkeypatch.setattr(backbone, name, enter(getattr(backbone, name), lambda a: a[1]))
+
+    dtype = np.float32 if cfg.dtype == "f32" else np.float64
+    clip = ClipTensor(Rng(1).normal(cfg.input_dims + (cfg.in_channels,)).astype(dtype))
+    backbone_forward(clip, weights, cfg)
+
+    expected = {(ln.stage, ln.unit, ln.part): [ln.macs, ln.aux_elements]
+                for ln in model_cost(cfg).lines}
+    assert dict(counted) == expected

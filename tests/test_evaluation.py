@@ -189,18 +189,6 @@ def test_closure_jitter_strictly_decreases():
         assert result.average_map < 1.0
 
 
-def test_evaluate_thread_count_is_invisible():
-    gts = synth_dataset(Rng(3), n_videos=4, n_classes=5, instances_per_video=5)
-    preds = oracle_predictions(gts, Rng(4), jitter=0.15)
-    cfg = eval_profile("thumos")
-    r1 = evaluate(preds, gts, cfg, threads=1)
-    r4 = evaluate(preds, gts, cfg, threads=4)
-    assert r1.ap == r4.ap
-    assert r1.average_map == r4.average_map
-    with pytest.raises(ConfigError):
-        evaluate(preds, gts, cfg, threads=0)
-
-
 def test_evaluate_excludes_unlabeled_classes():
     gts = [GroundTruthInstance(video_id="v", t_start=1.0, t_end=2.0, class_id=0)]
     preds = [_cand(1.0, 2.0, 0.9, cls=0), _cand(3.0, 4.0, 0.8, cls=9)]
