@@ -65,7 +65,7 @@ class ReductionSpec:
                 raise ConfigError(f"{name} must have kernel 3 and padding 1 per axis")
             if conv.stride != self.ratios:
                 raise ConfigError(f"{name} stride {conv.stride} must equal ratios {self.ratios}")
-            if conv.groups != conv.in_channels or conv.out_channels != conv.in_channels:
+            if not conv.depthwise:
                 raise ConfigError(f"{name} must be depth-wise with equal in/out channels")
 
 
@@ -223,14 +223,14 @@ def _attend(x: ClipTensor, p: AttentionParams, extents: Extents) -> ClipTensor:
 
     heads, dh = p.heads, p.channels // p.heads
     nwin = rec.num_windows
-    qh = qw.reshape(nwin, rec.window_tokens, heads, dh).transpose(0, 2, 1, 3).astype(np.float64)
-    kh = kw.reshape(nwin, krec.window_tokens, heads, dh).transpose(0, 2, 1, 3).astype(np.float64)
-    vh = vw.reshape(nwin, krec.window_tokens, heads, dh).transpose(0, 2, 1, 3).astype(np.float64)
+    qh = qw.reshape(nwin, rec.window_tokens, heads, dh).transpose(0, 2, 1, 3)
+    kh = kw.reshape(nwin, krec.window_tokens, heads, dh).transpose(0, 2, 1, 3)
+    vh = vw.reshape(nwin, krec.window_tokens, heads, dh).transpose(0, 2, 1, 3)
     scores = (qh * dh ** -0.5) @ kh.transpose(0, 1, 3, 2)
     attn = softmax(scores, mask=mask)
     out = attn @ vh  # (nwin, heads, window_tokens, dh)
     out = out.transpose(0, 2, 1, 3).reshape(nwin, rec.window_tokens, p.channels)
-    merged = merge_windows(out, rec).astype(x.data.dtype)
+    merged = merge_windows(out, rec)
     y = linear(merged.reshape(-1, p.channels), p.wo)
     return ClipTensor(y.reshape(x.dims + (p.channels,)))
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .heads import DetectionCandidate
+from .heads import DetectionCandidate, _check_segment
 from .tensor import Rng
 
 
@@ -261,10 +261,10 @@ def read_ground_truth(path: str | Path) -> list[GroundTruthInstance]:
             continue
         try:
             d = json.loads(line)
-            out.append(GroundTruthInstance(video_id=str(d["video_id"]),
-                                           t_start=float(d["t_start"]),
-                                           t_end=float(d["t_end"]),
-                                           class_id=int(d["class_id"])))
+            gt = GroundTruthInstance(video_id=str(d["video_id"]), t_start=float(d["t_start"]),
+                                     t_end=float(d["t_end"]), class_id=int(d["class_id"]))
+            _check_segment(gt.t_start, gt.t_end)
+            out.append(gt)
         except (json.JSONDecodeError, KeyError, ValueError) as exc:
             raise InputError(f"read_ground_truth: bad record at {path}:{ln}: {exc}") from exc
     return out

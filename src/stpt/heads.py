@@ -278,6 +278,14 @@ def write_candidates(path: str | Path, cands: list[DetectionCandidate]) -> None:
             }, sort_keys=True) + "\n")
 
 
+def _check_segment(t_start: float, t_end: float) -> None:
+    """Raise ValueError unless both times are finite and t_start < t_end."""
+    if not (math.isfinite(t_start) and math.isfinite(t_end)):
+        raise ValueError(f"non-finite segment [{t_start}, {t_end}]")
+    if not t_start < t_end:
+        raise ValueError(f"segment start {t_start} is not before its end {t_end}")
+
+
 def read_candidates(path: str | Path) -> list[DetectionCandidate]:
     out = []
     try:
@@ -289,12 +297,16 @@ def read_candidates(path: str | Path) -> list[DetectionCandidate]:
             continue
         try:
             d = json.loads(line)
-            out.append(DetectionCandidate(
+            cand = DetectionCandidate(
                 t_start=float(d["t_start"]), t_end=float(d["t_end"]),
                 class_id=int(d["class_id"]), score=float(d["score"]),
                 level=int(d.get("level", 0)), position=int(d.get("position", 0)),
                 video_id=str(d.get("video_id", "clip")),
-            ))
+            )
+            _check_segment(cand.t_start, cand.t_end)
+            if not math.isfinite(cand.score):
+                raise ValueError(f"non-finite score {cand.score}")
+            out.append(cand)
         except (json.JSONDecodeError, KeyError, ValueError) as exc:
             raise InputError(f"read_candidates: bad record at {path}:{ln}: {exc}") from exc
     return out

@@ -1,11 +1,16 @@
 """Deterministic dense kernels for clip-shaped tensors.
 
 Feature maps are channel-last (T, H, W, C), row-major with time outermost, so a
-reshape to (T*H*W, C) enumerates tokens in T-major order. Every kernel
-accumulates in float64 regardless of the stored dtype and casts back on the way
-out, which keeps finite-difference and closed-form oracles tight for both f32
-and f64 tensors. Kernels validate that their outputs are finite and raise
-NumericError naming the kernel and the first offending index otherwise.
+reshape to (T*H*W, C) enumerates tokens in T-major order.
+
+Precision rule: a kernel computes in the dtype of its input. Weights are cast
+to that dtype (a no-op when the model config is consistent), so an f32 model
+runs f32 end to end and an f64 model is the oracle mode that the f32 results
+are checked against. `sigmoid` and `softplus` are the exception: they compute
+in f64 and round on the way out. They only see head-sized arrays, and an f32
+sigmoid would round large logits to exactly 1.0, outside the open interval a
+detection score must lie in. Kernels validate that their outputs are finite and
+raise NumericError naming the kernel and the first offending index otherwise.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Callable
@@ -109,8 +115,11 @@ class Conv3DWeights:
             raise ConfigError(f"Conv3DWeights expects rank-5 weight, got {self.weight.shape}")
         if self.bias.shape != (self.weight.shape[0],):
             raise ConfigError("Conv3DWeights bias must match out_channels")
-        if self.weight.shape[0] % self.groups != 0:
-            raise ConfigError("out_channels must be divisible by groups")
+        if self.groups != 1 and not self.depthwise:
+            raise ConfigError(
+                f"conv groups must be 1 (dense) or in_channels == out_channels (depth-wise), "
+                f"got groups {self.groups} for weight {self.weight.shape}"
+            )
         if any(s < 1 for s in self.stride) or any(p < 0 for p in self.padding):
             raise ConfigError(f"bad stride {self.stride} or padding {self.padding}")
 
@@ -126,6 +135,11 @@ class Conv3DWeights:
     def kernel(self) -> tuple[int, int, int]:
         return self.weight.shape[2:5]
 
+    @property
+    def depthwise(self) -> bool:
+        """One input channel per group and one output channel per input channel."""
+        return self.weight.shape[1] == 1 and self.groups == self.weight.shape[0]
+
 
 def conv_output_extent(n: int, k: int, s: int, p: int) -> int:
     out = (n + 2 * p - k) // s + 1
@@ -137,24 +151,30 @@ def conv_output_extent(n: int, k: int, s: int, p: int) -> int:
 def linear(x: np.ndarray, w: LinearWeights) -> np.ndarray:
     if x.shape[-1] != w.in_channels:
         raise ConfigError(f"linear: input has {x.shape[-1]} channels, weights expect {w.in_channels}")
-    y = _as_f64(x) @ _as_f64(w.weight).T + _as_f64(w.bias)
-    return _check_finite("linear", y.astype(x.dtype))
+    y = x @ w.weight.astype(x.dtype, copy=False).T
+    y += w.bias.astype(x.dtype, copy=False)
+    return _check_finite("linear", y)
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Normalize the channel (last) axis per token."""
-    xf = _as_f64(x)
-    mean = xf.mean(axis=-1, keepdims=True)
-    var = xf.var(axis=-1, keepdims=True)
-    y = (xf - mean) / np.sqrt(var + eps) * _as_f64(gamma) + _as_f64(beta)
-    return _check_finite("layer_norm", y.astype(x.dtype))
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    y = x - mean
+    y /= np.sqrt(var + eps)
+    y *= gamma.astype(x.dtype, copy=False)
+    y += beta.astype(x.dtype, copy=False)
+    return _check_finite("layer_norm", y)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact erf form: 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    xf = _as_f64(x)
-    y = 0.5 * xf * (1.0 + special.erf(xf / np.sqrt(2.0)))
-    return _check_finite("gelu", y.astype(x.dtype))
+    """Exact erf form: 0.5 * x * (1 + erf(x / sqrt(2))), on one output buffer."""
+    y = np.divide(x, math.sqrt(2.0), out=np.empty_like(x))
+    special.erf(y, out=y)
+    y += 1.0
+    y *= x
+    y *= 0.5
+    return _check_finite("gelu", y)
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -175,9 +195,10 @@ def softmax(scores: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis with max subtraction.
 
     mask, if given, is broadcastable to scores with True marking valid entries;
-    invalid entries get zero weight. A row with no valid entry is an error.
+    invalid entries get zero weight (exp(-inf) is exactly 0). A row with no
+    valid entry is an error.
     """
-    s = _as_f64(scores)
+    s = scores
     if mask is not None:
         if not np.broadcast_shapes(mask.shape, s.shape) == s.shape:
             raise ConfigError(f"softmax mask shape {mask.shape} does not broadcast to {s.shape}")
@@ -185,27 +206,23 @@ def softmax(scores: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         if not valid.any(axis=-1).all():
             raise ConfigError("softmax: a row has no valid entries")
         s = np.where(valid, s, -np.inf)
-    m = s.max(axis=-1, keepdims=True)
-    e = np.exp(s - m)
-    if mask is not None:
-        e = np.where(np.broadcast_to(mask, s.shape), e, 0.0)
-    y = e / e.sum(axis=-1, keepdims=True)
-    return _check_finite("softmax", y.astype(scores.dtype))
+    e = s - s.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return _check_finite("softmax", e)
 
 
 def conv3d(x: ClipTensor, w: Conv3DWeights) -> ClipTensor:
-    """Strided 3D cross-correlation with zero padding and channel groups.
+    """Strided 3D cross-correlation with zero padding, dense or depth-wise.
 
-    Implemented as a sum over kernel taps of strided slices, each tap a matmul
-    (dense) or an elementwise multiply (depth-wise), so no im2col buffer is
-    materialized.
+    Implemented as a sum over kernel taps of strided slices of the padded map,
+    so no im2col buffer is materialized. A dense tap is a matmul; depth-wise
+    taps are multiplied into one reused product buffer and accumulated in place.
     """
     t, h, wd = x.dims
     c = x.channels
     if c != w.in_channels:
         raise ConfigError(f"conv3d: input has {c} channels, weights expect {w.in_channels}")
-    if c % w.groups != 0:
-        raise ConfigError("conv3d: in_channels must be divisible by groups")
     kt, kh, kw = w.kernel
     st, sh, sw = w.stride
     pt, ph, pw = w.padding
@@ -213,32 +230,30 @@ def conv3d(x: ClipTensor, w: Conv3DWeights) -> ClipTensor:
     ho = conv_output_extent(h, kh, sh, ph)
     wo = conv_output_extent(wd, kw, sw, pw)
 
-    xp = np.zeros((t + 2 * pt, h + 2 * ph, wd + 2 * pw, c), dtype=np.float64)
-    xp[pt:pt + t, ph:ph + h, pw:pw + wd, :] = x.data
+    dtype = x.data.dtype
+    xp = x.data
+    if pt or ph or pw:
+        xp = np.zeros((t + 2 * pt, h + 2 * ph, wd + 2 * pw, c), dtype=dtype)
+        xp[pt:pt + t, ph:ph + h, pw:pw + wd, :] = x.data
     cout = w.out_channels
-    out = np.zeros((to, ho, wo, cout), dtype=np.float64)
-    out += _as_f64(w.bias)
+    out = np.zeros((to, ho, wo, cout), dtype=dtype)
+    out += w.bias.astype(dtype, copy=False)
 
-    wf = _as_f64(w.weight)
-    depthwise = w.groups == c and cout == c
-    cin_g = c // w.groups
-    cout_g = cout // w.groups
+    wf = w.weight.astype(dtype, copy=False)
+    dense = w.groups == 1
+    if not dense:
+        taps = np.ascontiguousarray(np.moveaxis(wf[:, 0], 0, -1))  # (kt, kh, kw, c)
+        prod = np.empty_like(out)
     for it in range(kt):
         for ih in range(kh):
             for iw in range(kw):
                 sl = xp[it:it + st * to:st, ih:ih + sh * ho:sh, iw:iw + sw * wo:sw, :]
-                tap = wf[:, :, it, ih, iw]
-                if w.groups == 1:
-                    out += (sl.reshape(-1, c) @ tap.T).reshape(to, ho, wo, cout)
-                elif depthwise:
-                    out += sl * tap[:, 0]
+                if dense:
+                    out += (sl.reshape(-1, c) @ wf[:, :, it, ih, iw].T).reshape(to, ho, wo, cout)
                 else:
-                    slg = sl.reshape(to, ho, wo, w.groups, cin_g)
-                    tapg = tap.reshape(w.groups, cout_g, cin_g)
-                    out += np.einsum("thwgi,goi->thwgo", slg, tapg).reshape(to, ho, wo, cout)
-    out = out.reshape(to, ho, wo, cout)
-    _check_finite("conv3d", out)
-    return ClipTensor(out.astype(x.data.dtype))
+                    np.multiply(sl, taps[it, ih, iw], out=prod)
+                    out += prod
+    return ClipTensor(_check_finite("conv3d", out))
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -356,7 +371,11 @@ def read_tensor(path: str | Path) -> np.ndarray:
         raise InputError(f"read_tensor: truncated header in {path}")
     dims = struct.unpack(f"<{rank}Q", raw[8:header])
     dtype = _CODE_DTYPES[code]
-    count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+    # Python ints cannot overflow; numpy refuses any shape whose non-zero
+    # extents span more bytes than intp can index, even for an empty array.
+    if math.prod(max(d, 1) for d in dims) * dtype.itemsize > np.iinfo(np.intp).max:
+        raise InputError(f"read_tensor: dims {dims} too large in {path}")
+    count = math.prod(dims)
     if len(raw) != header + count * dtype.itemsize:
         raise InputError(f"read_tensor: payload size mismatch in {path}")
     arr = np.frombuffer(raw, dtype=dtype, count=count, offset=header).reshape(dims)

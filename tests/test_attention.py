@@ -231,14 +231,16 @@ def dataclasses_replace_kind(p: AttentionParams) -> AttentionParams:
                            window=None)
 
 
-def test_locality_perturbation_is_exactly_zero():
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_locality_perturbation_is_exactly_zero(dtype):
     # Tokens two or more positions outside a window cannot reach it: the
-    # reduction conv's halo is one token wide, windows do not overlap.
+    # reduction conv's halo is one token wide, windows do not overlap. Batched
+    # BLAS in either storage dtype must not couple one window to another.
     rng = Rng(7)
     c, heads = 8, 2
     dims = (8, 4, 4)
-    p = _params(rng, c, heads, "local", window=(4, 4, 4), ratios=(2, 2, 2))
-    x = rng.child("x").normal(dims + (c,))
+    p = _params(rng, c, heads, "local", window=(4, 4, 4), ratios=(2, 2, 2), dtype=dtype)
+    x = rng.child("x").normal(dims + (c,)).astype(dtype)
     base = lsta_forward(ClipTensor(x), p).data
     for trial in range(10):
         trng = rng.child(f"trial{trial}")
@@ -246,8 +248,9 @@ def test_locality_perturbation_is_exactly_zero():
                int(trng.child("h").integers(0, 4)),
                int(trng.child("w").integers(0, 4)))
         x2 = x.copy()
-        x2[pos] += trng.child("delta").normal((c,), 0.0, 3.0)
+        x2[pos] += trng.child("delta").normal((c,), 0.0, 3.0).astype(dtype)
         out = lsta_forward(ClipTensor(x2), p).data
+        assert out.dtype == dtype
         # Queries in the first temporal window (t < 4) are bit-identical.
         np.testing.assert_array_equal(out[:4], base[:4])
         assert not np.array_equal(out[6:], base[6:])

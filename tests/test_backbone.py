@@ -208,3 +208,20 @@ def test_patch_embed_downsamples():
     out = patch_embed(x, w.stages[0].embed)
     assert out.dims == (16, 6, 6)
     assert out.channels == 96
+
+
+@pytest.mark.parametrize("variant", ["LLLL", "LLLG", "LLGG", "LGGG", "GGGG"])
+def test_f32_stages_track_the_f64_oracle(variant):
+    # Kernels compute in the storage dtype; the f64 model is the oracle the
+    # f32 one must track to within f32 rounding.
+    stages = {}
+    for dtype, np_dtype in (("f32", np.float32), ("f64", np.float64)):
+        cfg = toy_config(variant, dtype=dtype)
+        weights = init_model_weights(cfg, Rng(3).child("model"))
+        clip = Rng(3).child("input").normal(cfg.input_dims + (cfg.in_channels,))
+        out = backbone_forward(ClipTensor(clip.astype(np_dtype)), weights, cfg)
+        stages[dtype] = [s.data for s in out.stages]
+    for a32, a64 in zip(stages["f32"], stages["f64"]):
+        assert a32.dtype == np.float32 and a64.dtype == np.float64
+        gap = np.abs(a32 - a64).max() / np.abs(a64).max()
+        assert gap <= 1e-5, gap

@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -128,6 +129,17 @@ def test_forward_reads_tensor_input(tmp_path, capsys):
     assert "dtype" in capsys.readouterr().err
 
 
+def test_forward_huge_tensor_dims_exit_3(tmp_path, capsys):
+    # A header claiming dims (2^63, 2) and no payload is an input error, not a
+    # numpy traceback.
+    huge = tmp_path / "huge.stpt"
+    huge.write_bytes(b"STPT" + struct.pack("<HBB2Q", 1, 0, 2, 2 ** 63, 2))
+    ini = _toy_ini(tmp_path, extra=f"input = {huge}\n")
+    assert main(["forward", "--config", ini]) == 3
+    assert "huge.stpt" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[model]\ndropout = 0.5\n")
@@ -145,6 +157,16 @@ def test_forward_zero_fps_is_config_error(tmp_path, capsys):
 def test_missing_eval_inputs_exit_code(tmp_path, capsys):
     assert main(["eval", "--preds", str(tmp_path / "nope.jsonl"),
                  "--gts", str(tmp_path / "nope2.jsonl")]) == 3
+
+
+def test_eval_bad_prediction_record_exit_3(tmp_path, capsys):
+    gts = tmp_path / "gts.jsonl"
+    gts.write_text('{"video_id": "v", "t_start": 0.0, "t_end": 4.0, "class_id": 0}\n')
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text('{"video_id": "v", "t_start": 5.0, "t_end": 2.0, "class_id": 0, '
+                     '"score": 0.9}\n')
+    assert main(["eval", "--preds", str(preds), "--gts", str(gts)]) == 3
+    assert f"{preds}:1" in capsys.readouterr().err
 
 
 def test_gradcheck_passes(capsys):

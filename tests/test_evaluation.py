@@ -1,6 +1,7 @@
 """Soft suppression, AP, and the synthetic closure loop."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -266,3 +267,14 @@ def test_ground_truth_jsonl_roundtrip(tmp_path):
         read_ground_truth(bad)
     with pytest.raises(InputError, match="cannot read"):
         read_ground_truth(tmp_path / "nope.jsonl")
+
+
+@pytest.mark.parametrize("t_start,t_end", [("NaN", "1.0"), ("0.0", "Infinity"),
+                                           ("-Infinity", "1.0"), ("5.0", "2.0"),
+                                           ("2.0", "2.0")])
+def test_read_ground_truth_rejects_bad_segments(tmp_path, t_start, t_end):
+    path = tmp_path / "gt.jsonl"
+    path.write_text('{"video_id": "v", "t_start": 0.0, "t_end": 1.0, "class_id": 0}\n'
+                    f'{{"video_id": "v", "t_start": {t_start}, "t_end": {t_end}, "class_id": 0}}\n')
+    with pytest.raises(InputError, match=re.escape(f"{path}:2")):
+        read_ground_truth(path)

@@ -1,5 +1,7 @@
 """Feature pyramid geometry, head predictions, and candidate decode."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -210,3 +212,13 @@ def test_read_candidates_error_reporting(tmp_path):
         read_candidates(path)
     with pytest.raises(InputError, match="cannot read"):
         read_candidates(tmp_path / "missing.jsonl")
+    good = '{"t_start": 0.0, "t_end": 1.0, "class_id": 0, "score": 0.5}\n'
+    for bad in ('{"t_start": NaN, "t_end": 1.0, "class_id": 0, "score": 0.5}',
+                '{"t_start": 0.0, "t_end": Infinity, "class_id": 0, "score": 0.5}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": 0, "score": Infinity}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": 0, "score": NaN}',
+                '{"t_start": 5.0, "t_end": 2.0, "class_id": 0, "score": 0.5}',
+                '{"t_start": 2.0, "t_end": 2.0, "class_id": 0, "score": 0.5}'):
+        path.write_text(good + bad + "\n")
+        with pytest.raises(InputError, match=re.escape(f"{path}:2")):
+            read_candidates(path)

@@ -1,5 +1,8 @@
 """Kernel-layer tests: oracles for linear/conv/norm, rng, and the file format."""
 
+import struct
+import warnings
+
 import numpy as np
 import pytest
 
@@ -161,7 +164,7 @@ def _naive_conv(x, w):
     return out
 
 
-@pytest.mark.parametrize("groups,cout", [(1, 3), (2, 4), (2, 2)])
+@pytest.mark.parametrize("groups,cout", [(1, 3), (2, 2)])
 def test_conv3d_matches_naive(groups, cout):
     rng = Rng(7)
     x = rng.normal((5, 4, 6, 2))
@@ -172,6 +175,19 @@ def test_conv3d_matches_naive(groups, cout):
     )
     got = conv3d(ClipTensor(x), w).data
     np.testing.assert_allclose(got, _naive_conv(x, w), rtol=1e-6, atol=1e-9)
+
+
+def test_conv3d_rejects_grouped_weights():
+    # Only dense (groups 1) and depth-wise (groups == in == out channels)
+    # convolutions exist; a channel multiplier or partial grouping is refused.
+    rng = Rng(7)
+    with pytest.raises(ConfigError, match="groups"):
+        Conv3DWeights(weight=rng.child("w").normal((4, 1, 3, 2, 3)),
+                      bias=rng.child("b").normal((4,)),
+                      stride=(2, 1, 2), padding=(1, 0, 1), groups=2)
+    with pytest.raises(ConfigError, match="groups"):
+        Conv3DWeights(weight=np.zeros((4, 2, 1, 1, 1)), bias=np.zeros(4),
+                      stride=(1, 1, 1), padding=(0, 0, 0), groups=2)
 
 
 def test_conv3d_depthwise_matches_naive():
@@ -215,6 +231,34 @@ def test_conv3d_1x1x1_equals_linear():
     got = conv3d(ClipTensor(x), w).data.reshape(-1, 2)
     want = linear(x.reshape(-1, 6), LinearWeights(weight=wmat, bias=b))
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_kernels_compute_in_input_dtype():
+    rng = Rng(14)
+    x = rng.normal((3, 4, 5, 6)).astype(np.float32)
+    tokens = x.reshape(-1, 6)
+    # Weights stay f64: the kernel computes in the dtype of its input.
+    lw = LinearWeights(weight=rng.child("lw").normal((4, 6)), bias=rng.child("lb").normal((4,)))
+    dense = Conv3DWeights(weight=rng.child("cw").normal((4, 6, 3, 3, 3)), bias=np.zeros(4),
+                          stride=(1, 2, 2), padding=(1, 1, 1), groups=1)
+    depthwise = Conv3DWeights(weight=rng.child("dw").normal((6, 1, 3, 3, 3)), bias=np.zeros(6),
+                              stride=(1, 1, 1), padding=(1, 1, 1), groups=6)
+    outs = {
+        "linear": linear(tokens, lw),
+        "layer_norm": layer_norm(tokens, np.ones(6), np.zeros(6)),
+        "gelu": gelu(tokens),
+        "softmax": softmax(tokens, np.arange(6) < 4),
+        "conv3d dense": conv3d(ClipTensor(x), dense).data,
+        "conv3d depth-wise": conv3d(ClipTensor(x), depthwise).data,
+    }
+    assert {k: v.dtype for k, v in outs.items()} == {k: np.float32 for k in outs}
+
+
+def test_gelu_leaves_its_input_alone():
+    x = Rng(15).normal((4, 5))
+    before = x.copy()
+    gelu(x)
+    np.testing.assert_array_equal(x, before)
 
 
 def test_conv_output_extent_and_bad_geometry():
@@ -311,6 +355,18 @@ def test_tensor_file_scalar_and_corruption(tmp_path):
 
     with pytest.raises(InputError):
         read_tensor(tmp_path / "missing.stpt")
+
+
+@pytest.mark.parametrize("dims", [(2 ** 63, 2), (0, 2 ** 63), (0, 2 ** 62, 2 ** 62),
+                                  (2 ** 62, 4), (2 ** 64 - 1,)])
+def test_tensor_file_huge_dims_are_input_errors(tmp_path, dims):
+    p = tmp_path / "huge.stpt"
+    header = b"STPT" + struct.pack("<HBB", 1, 0, len(dims)) + struct.pack(f"<{len(dims)}Q", *dims)
+    p.write_bytes(header)  # no payload: an int64 element count of 2^63 * 2 wraps to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="huge.stpt"):
+            read_tensor(p)
 
 
 def test_bundle_roundtrip(tmp_path):
