@@ -29,7 +29,7 @@ from .heads import (CoarsePrediction, DetectionCandidate, DetectionConfig,
 from .losses import (LossBreakdown, LossConfig, MatchedTargets, combine_losses,
                      focal_loss, gradient_check_report, l1_offset_loss, loss_profile,
                      match_anchors, quality_loss, segment_tiou, tiou_loss, total_loss)
-from .tensor import (ClipTensor, Conv3DWeights, LinearWeights, Rng, conv3d,
+from .tensor import (ClipTensor, Conv3DWeights, LinearWeights, Rng, check_finite, conv3d,
                      finite_diff_grad, gelu, gradcheck, layer_norm, linear,
                      read_bundle, read_tensor, sigmoid, softmax, softplus,
                      write_bundle, write_tensor)

@@ -5,6 +5,8 @@ A block is: depth-wise conv positional encoding added residually, then
 pre-norm attention (local windowed in early stages, global in late stages),
 then a pre-norm MLP, all with residual connections. Patch embeddings carry the
 channel changes between stages; a block keeps its channel count.
+`backbone_forward` checks its input and every block output for non-finite
+values, naming the block as `stpt flops` labels it (`stage2 block1`).
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ import numpy as np
 from .attention import AttentionParams, ReductionSpec, WindowSpec, gsta_forward, lsta_forward
 from .errors import ConfigError
 from .tensor import (
+    DTYPES,
     ClipTensor,
     Conv3DWeights,
     LinearWeights,
     Rng,
+    check_finite,
     conv3d,
     conv_output_extent,
     gelu,
@@ -51,6 +55,8 @@ class StageSpec:
         if self.kind == "local":
             if self.windows is None or len(self.windows) != self.depth:
                 raise ConfigError("local stage needs one window per block")
+            if any(e < 1 for w in self.windows for e in w):
+                raise ConfigError(f"window extents must be positive, got {self.windows}")
         if self.resolved_heads < 1 or self.channels % self.resolved_heads != 0:
             raise ConfigError(
                 f"stage channels {self.channels} incompatible with heads {self.resolved_heads}"
@@ -247,7 +253,7 @@ def init_attention(rng: Rng, spec: StageSpec, window: Extents | None, dtype) -> 
 
 
 def init_model_weights(cfg: ModelConfig, rng: Rng) -> ModelWeights:
-    dtype = np.float32 if cfg.dtype == "f32" else np.float64
+    dtype = DTYPES[cfg.dtype]
     stages = []
     for si, (spec, cin) in enumerate(zip(cfg.stages, cfg.stage_in_channels())):
         srng = rng.child(f"stage{si}")
@@ -305,10 +311,12 @@ def stpt_block(x: ClipTensor, w: BlockWeights, cpe_enabled: bool = True) -> Clip
 def backbone_forward(x: ClipTensor, weights: ModelWeights, cfg: ModelConfig) -> BackboneOutput:
     if x.channels != cfg.in_channels:
         raise ConfigError(f"input has {x.channels} channels, config expects {cfg.in_channels}")
+    check_finite("input", x.data)
     outputs = []
-    for sw in weights.stages:
+    for si, sw in enumerate(weights.stages):
         x = patch_embed(x, sw.embed)
-        for bw in sw.blocks:
+        for bi, bw in enumerate(sw.blocks):
             x = stpt_block(x, bw, cpe_enabled=cfg.cpe_enabled)
+            check_finite(f"stage{si + 1} block{bi}", x.data)
         outputs.append(x)
     return BackboneOutput(stages=tuple(outputs))

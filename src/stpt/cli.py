@@ -13,8 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .backbone import backbone_forward, init_model_weights
 from .config import RunConfig, load_run_config, write_default_config
 from .costs import model_cost
@@ -24,7 +22,7 @@ from .evaluation import (evaluate, oracle_predictions, read_ground_truth,
 from .heads import (build_pyramid, decode, init_head_weights, predict_coarse,
                     pyramid_lengths, read_candidates, refine, write_candidates)
 from .losses import gradient_check_report
-from .tensor import ClipTensor, Rng, read_tensor, write_bundle
+from .tensor import DTYPES, ClipTensor, Rng, read_tensor, write_bundle
 
 VARIANTS = ("LLLL", "LLLG", "LLGG", "LGGG", "GGGG")
 
@@ -67,7 +65,7 @@ def cmd_flops(args: argparse.Namespace) -> int:
 
 
 def _load_clip(cfg: RunConfig, rng: Rng) -> tuple[ClipTensor, str]:
-    dtype = np.float32 if cfg.model.dtype == "f32" else np.float64
+    dtype = DTYPES[cfg.model.dtype]
     want = cfg.model.input_dims + (cfg.model.in_channels,)
     if cfg.input_path:
         arr = read_tensor(cfg.input_path)
@@ -131,8 +129,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    preds = read_candidates(args.preds)
-    gts = read_ground_truth(args.gts)
+    preds = read_candidates(args.preds, cfg.det.num_classes)
+    gts = read_ground_truth(args.gts, cfg.det.num_classes)
     result = evaluate(preds, gts, cfg.eval_cfg, apply_nms=not args.skip_nms)
     print(render_map_table(result))
     return 0

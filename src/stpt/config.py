@@ -34,7 +34,8 @@ Grammar (INI style, all keys optional):
     precision = f32 | f64
 
 Out-of-range values are rejected: [detection] fps must be finite and positive,
-top_k at least 1, nms_threshold in [0, 1] and nms_sigma positive.
+top_k at least 1, nms_threshold in [0, 1] and nms_sigma positive; the seed
+must be non-negative.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def _read_ini(path: str) -> dict[str, dict[str, str]]:
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
@@ -191,6 +192,9 @@ def load_run_config(path: str | None = None, variant: str | None = None) -> RunC
             rv["seed"] = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"STPT_SEED must be an integer, got {env_seed!r}") from exc
+    if rv["seed"] < 0:
+        source = "STPT_SEED" if env_seed is not None else "[run] seed"
+        raise ConfigError(f"{source} must be non-negative, got {rv['seed']}")
 
     if rv["precision"] not in ("f32", "f64"):
         raise ConfigError(f"[run] precision must be f32 or f64, got {rv['precision']!r}")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .heads import DetectionCandidate, _check_segment
+from .heads import _RECORD_ERRORS, DetectionCandidate, _check_segment, _class_id
 from .tensor import Rng
 
 
@@ -250,11 +250,12 @@ def write_ground_truth(path: str | Path, gts: list[GroundTruthInstance]) -> None
             fh.write(json.dumps(dataclasses.asdict(g), sort_keys=True) + "\n")
 
 
-def read_ground_truth(path: str | Path) -> list[GroundTruthInstance]:
+def read_ground_truth(path: str | Path, num_classes: int) -> list[GroundTruthInstance]:
+    """Read write_ground_truth output; class ids must lie in [0, num_classes)."""
     out = []
     try:
         lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"read_ground_truth: cannot read {path}: {exc}") from exc
     for ln, line in enumerate(lines, 1):
         if not line.strip():
@@ -262,9 +263,10 @@ def read_ground_truth(path: str | Path) -> list[GroundTruthInstance]:
         try:
             d = json.loads(line)
             gt = GroundTruthInstance(video_id=str(d["video_id"]), t_start=float(d["t_start"]),
-                                     t_end=float(d["t_end"]), class_id=int(d["class_id"]))
+                                     t_end=float(d["t_end"]),
+                                     class_id=_class_id(d["class_id"], num_classes))
             _check_segment(gt.t_start, gt.t_end)
             out.append(gt)
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except _RECORD_ERRORS as exc:
             raise InputError(f"read_ground_truth: bad record at {path}:{ln}: {exc}") from exc
     return out

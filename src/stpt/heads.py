@@ -6,7 +6,9 @@ extend the hierarchy to six levels. A tower shared across levels predicts, per
 temporal position (anchor), class logits and positive start/end distances in
 seconds. A refinement head samples pyramid features around the coarse
 boundaries and predicts boundary offsets, a second set of class logits, and a
-quality score; decode folds the two rounds into final candidates.
+quality score; decode folds the two rounds into final candidates. Each level's
+coarse and refined outputs are checked for non-finite values, naming the level
+(`level0` is the first, as in a candidate's `level` field).
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import numpy as np
 
 from .backbone import ModelConfig, _init_conv, _init_linear
 from .errors import ConfigError, InputError
-from .tensor import ClipTensor, Conv3DWeights, LinearWeights, Rng, conv3d, gelu, linear, sigmoid, softplus
+from .tensor import (DTYPES, ClipTensor, Conv3DWeights, LinearWeights, Rng, check_finite, conv3d,
+                     gelu, linear, sigmoid, softplus)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,7 +107,7 @@ class HeadWeights:
 
 
 def init_head_weights(model_cfg: ModelConfig, det_cfg: DetectionConfig, rng: Rng) -> HeadWeights:
-    dtype = np.float32 if model_cfg.dtype == "f32" else np.float64
+    dtype = DTYPES[model_cfg.dtype]
     cp = det_cfg.pyramid_channels
     dims = model_cfg.stage_dims()[-2:]
     chans = [s.channels for s in model_cfg.stages[-2:]]
@@ -179,6 +182,8 @@ def predict_coarse(pyr: FeaturePyramid, w: HeadWeights) -> CoarsePrediction:
         lt = _run_tower(feat, w.tower_loc)
         raw = conv3d(_as_temporal(lt), w.loc_head).data[:, 0, 0, :]
         distances.append(softplus(raw) * (pyr.strides[m] / pyr.fps))
+        # Before refine: a NaN distance would become an integer sample index.
+        check_finite(f"level{m} coarse", np.hstack([cls_logits[-1], distances[-1]]))
     return CoarsePrediction(cls_logits=tuple(cls_logits), distances=tuple(distances))
 
 
@@ -224,6 +229,7 @@ def refine(pyr: FeaturePyramid, coarse: CoarsePrediction, w: HeadWeights) -> Ref
         stacked = np.concatenate(samples, axis=1).astype(feat.dtype)
         hidden = gelu(linear(stacked, w.refine_in))
         out = linear(hidden, w.refine_out)
+        check_finite(f"level{m} refine", out)
         offsets.append(out[:, :2])
         cls_logits.append(out[:, 2:-1])
         quality.append(out[:, -1])
@@ -286,11 +292,27 @@ def _check_segment(t_start: float, t_end: float) -> None:
         raise ValueError(f"segment start {t_start} is not before its end {t_end}")
 
 
-def read_candidates(path: str | Path) -> list[DetectionCandidate]:
+def _class_id(value: object, num_classes: int) -> int:
+    """A JSON integer in [0, num_classes), or ValueError."""
+    if type(value) is not int:  # also rejects bool, a subclass of int
+        raise ValueError(f"class_id {value!r} is not an integer")
+    if not 0 <= value < num_classes:
+        raise ValueError(f"class_id {value} outside [0, {num_classes})")
+    return value
+
+
+# A bad record raises one of these while it is parsed (TypeError: a line that is
+# not a JSON object, or a null field); the readers turn it into an InputError
+# naming the file and line.
+_RECORD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def read_candidates(path: str | Path, num_classes: int) -> list[DetectionCandidate]:
+    """Read write_candidates output; class ids must lie in [0, num_classes)."""
     out = []
     try:
         lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"read_candidates: cannot read {path}: {exc}") from exc
     for ln, line in enumerate(lines, 1):
         if not line.strip():
@@ -299,7 +321,7 @@ def read_candidates(path: str | Path) -> list[DetectionCandidate]:
             d = json.loads(line)
             cand = DetectionCandidate(
                 t_start=float(d["t_start"]), t_end=float(d["t_end"]),
-                class_id=int(d["class_id"]), score=float(d["score"]),
+                class_id=_class_id(d["class_id"], num_classes), score=float(d["score"]),
                 level=int(d.get("level", 0)), position=int(d.get("position", 0)),
                 video_id=str(d.get("video_id", "clip")),
             )
@@ -307,6 +329,6 @@ def read_candidates(path: str | Path) -> list[DetectionCandidate]:
             if not math.isfinite(cand.score):
                 raise ValueError(f"non-finite score {cand.score}")
             out.append(cand)
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except _RECORD_ERRORS as exc:
             raise InputError(f"read_candidates: bad record at {path}:{ln}: {exc}") from exc
     return out

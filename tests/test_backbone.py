@@ -9,7 +9,7 @@ from stpt.attention import AttentionParams, ReductionSpec, WindowSpec
 from stpt.backbone import (BlockWeights, LayerNormWeights, ModelConfig, StageSpec,
                            backbone_forward, default_config, init_model_weights,
                            patch_embed, stpt_block, toy_config)
-from stpt.errors import ConfigError
+from stpt.errors import ConfigError, NumericError
 from stpt.tensor import ClipTensor, Conv3DWeights, LinearWeights, Rng, conv_output_extent
 
 
@@ -225,3 +225,36 @@ def test_f32_stages_track_the_f64_oracle(variant):
         assert a32.dtype == np.float32 and a64.dtype == np.float64
         gap = np.abs(a32 - a64).max() / np.abs(a64).max()
         assert gap <= 1e-5, gap
+
+
+# One weight per block, chosen in turn, so every variant's blocks between them
+# cover the positional conv, the attention projections and reductions, and the MLP.
+_BLOCK_WEIGHTS = (
+    lambda bw: bw.cpe.weight,
+    lambda bw: bw.attn.wq.weight,
+    lambda bw: bw.mlp_in.weight,
+    lambda bw: bw.attn.reduction.conv_k.weight,
+    lambda bw: bw.attn.wo.weight,
+    lambda bw: bw.mlp_out.weight,
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("variant", ["LLLL", "LLGG", "GGGG"])
+def test_non_finite_weight_names_its_block(variant):
+    cfg = toy_config(variant)
+    weights = init_model_weights(cfg, Rng(2).child("model"))
+    clip = ClipTensor(Rng(2).child("input").normal(cfg.input_dims + (3,)).astype(np.float32))
+    n = 0
+    for si, sw in enumerate(weights.stages):
+        for bi, bw in enumerate(sw.blocks):
+            arr = _BLOCK_WEIGHTS[n % len(_BLOCK_WEIGHTS)](bw)
+            n += 1
+            saved = arr.flat[0]
+            arr.flat[0] = np.inf
+            try:
+                with pytest.raises(NumericError, match=rf"^stage{si + 1} block{bi}: "):
+                    backbone_forward(clip, weights, cfg)
+            finally:
+                arr.flat[0] = saved
+

@@ -140,6 +140,28 @@ def test_forward_huge_tensor_dims_exit_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_forward_nan_input_exit_4(tmp_path, capsys):
+    clip = np.zeros((32, 24, 24, 3), dtype=np.float32)
+    clip[1, 2, 3, 0] = np.nan
+    tensor_path = tmp_path / "nan.stpt"
+    write_tensor(tensor_path, clip)
+    ini = _toy_ini(tmp_path, extra=f"input = {tensor_path}\n")
+    assert main(["forward", "--config", ini]) == 4
+    assert "error: input: non-finite value at index (1, 2, 3, 0)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "synth"])
+def test_negative_seed_exit_2(tmp_path, capsys, monkeypatch, command):
+    ini = _toy_ini(tmp_path, extra="[run]\nseed = -1\n")
+    assert main([command, "--config", ini]) == 2
+    assert "[run] seed" in capsys.readouterr().err
+    monkeypatch.setenv("STPT_SEED", "-1")
+    assert main([command, "--config", _toy_ini(tmp_path)]) == 2
+    assert "STPT_SEED" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[model]\ndropout = 0.5\n")
@@ -167,6 +189,23 @@ def test_eval_bad_prediction_record_exit_3(tmp_path, capsys):
                      '"score": 0.9}\n')
     assert main(["eval", "--preds", str(preds), "--gts", str(gts)]) == 3
     assert f"{preds}:1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which,record", [
+    ("preds", '[1, 2]'),
+    ("preds", '{"video_id": "v", "t_start": 0.0, "t_end": 4.0, "class_id": 99, "score": 0.9}'),
+    ("gts", '{"video_id": "v", "t_start": 0.0, "t_end": 4.0, "class_id": -4}'),
+])
+def test_eval_bad_record_names_line_exit_3(tmp_path, capsys, which, record):
+    files = {"gts": '{"video_id": "v", "t_start": 0.0, "t_end": 4.0, "class_id": 0}',
+             "preds": '{"video_id": "v", "t_start": 0.0, "t_end": 4.0, "class_id": 0, '
+                      '"score": 0.9}'}
+    paths = {}
+    for name, good in files.items():
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text(good + "\n" + (record + "\n" if name == which else ""))
+    assert main(["eval", "--preds", str(paths["preds"]), "--gts", str(paths["gts"])]) == 3
+    assert f"{paths[which]}:2" in capsys.readouterr().err
 
 
 def test_gradcheck_passes(capsys):

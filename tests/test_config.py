@@ -59,6 +59,8 @@ def test_unknown_key_rejected(tmp_path):
     ("[detection]\nnms_threshold = nan\n", "nms_threshold"),
     ("[detection]\nnms_mode = gaussian\nnms_sigma = 0\n", "nms_sigma"),
     ("[detection]\nnms_sigma = nan\n", "nms_sigma"),
+    ("[run]\nseed = -1\n", "seed"),
+    ("[model]\nlsta_temporal = 0,8,16\n", "window"),
 ])
 def test_bad_values_are_named(tmp_path, text, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -104,6 +106,11 @@ def test_env_seed_override(tmp_path, monkeypatch):
     monkeypatch.setenv("STPT_SEED", "4x")
     with pytest.raises(ConfigError, match="STPT_SEED"):
         load_run_config(path)
+    monkeypatch.setenv("STPT_SEED", "-1")
+    with pytest.raises(ConfigError, match="STPT_SEED"):
+        load_run_config(path)
+    monkeypatch.setenv("STPT_SEED", "0")
+    assert load_run_config(path).seed == 0
 
 
 def test_detection_overrides_only_when_present(tmp_path):

@@ -260,13 +260,13 @@ def test_ground_truth_jsonl_roundtrip(tmp_path):
     gts = synth_dataset(Rng(13), n_videos=2, n_classes=3, instances_per_video=2)
     path = tmp_path / "gt.jsonl"
     write_ground_truth(path, gts)
-    assert read_ground_truth(path) == gts
+    assert read_ground_truth(path, 3) == gts
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"video_id": "v", "t_start": 0.0, "t_end": 1.0}\n')
     with pytest.raises(InputError, match=":1"):
-        read_ground_truth(bad)
+        read_ground_truth(bad, 3)
     with pytest.raises(InputError, match="cannot read"):
-        read_ground_truth(tmp_path / "nope.jsonl")
+        read_ground_truth(tmp_path / "nope.jsonl", 3)
 
 
 @pytest.mark.parametrize("t_start,t_end", [("NaN", "1.0"), ("0.0", "Infinity"),
@@ -277,4 +277,21 @@ def test_read_ground_truth_rejects_bad_segments(tmp_path, t_start, t_end):
     path.write_text('{"video_id": "v", "t_start": 0.0, "t_end": 1.0, "class_id": 0}\n'
                     f'{{"video_id": "v", "t_start": {t_start}, "t_end": {t_end}, "class_id": 0}}\n')
     with pytest.raises(InputError, match=re.escape(f"{path}:2")):
-        read_ground_truth(path)
+        read_ground_truth(path, 20)
+
+
+@pytest.mark.parametrize("record", [
+    '[1, 2]', '"v"', '7', 'null',
+    '{"video_id": "v", "t_start": null, "t_end": 1.0, "class_id": 0}',
+    '{"video_id": "v", "t_start": 0.0, "t_end": 1.0, "class_id": null}',
+    '{"video_id": "v", "t_start": 0.0, "t_end": 1.0, "class_id": -4}',
+    '{"video_id": "v", "t_start": 0.0, "t_end": 1.0, "class_id": 20}',
+    '{"video_id": "v", "t_start": 0.0, "t_end": 1.0, "class_id": 1.5}',
+    '{"video_id": "v", "t_start": 0.0, "t_end": 1.0, "class_id": false}',
+])
+def test_read_ground_truth_rejects_bad_records(tmp_path, record):
+    path = tmp_path / "gt.jsonl"
+    path.write_text('{"video_id": "v", "t_start": 0.0, "t_end": 1.0, "class_id": 19}\n'
+                    + record + "\n")
+    with pytest.raises(InputError, match=re.escape(f"{path}:2")):
+        read_ground_truth(path, 20)

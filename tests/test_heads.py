@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stpt.backbone import backbone_forward, default_config, init_model_weights, toy_config
-from stpt.errors import ConfigError, InputError
+from stpt.errors import ConfigError, InputError, NumericError
 from stpt.heads import (CoarsePrediction, DetectionCandidate, DetectionConfig,
                         FeaturePyramid, RefinedPrediction, _sample_level,
                         build_pyramid, coarse_segments, combine_scores, decode,
@@ -199,26 +199,75 @@ def test_candidate_jsonl_roundtrip(tmp_path):
                                 level=0, position=0, video_id="b")]
     path = tmp_path / "cands.jsonl"
     write_candidates(path, cands)
-    assert read_candidates(path) == cands
+    assert read_candidates(path, 4) == cands
 
 
 def test_read_candidates_error_reporting(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"t_start": 0.0, "t_end": 1.0, "class_id": 0, "score": 0.5}\nnot json\n')
     with pytest.raises(InputError, match=":2"):
-        read_candidates(path)
+        read_candidates(path, 20)
     path.write_text('{"t_start": 0.0}\n')
     with pytest.raises(InputError, match=":1"):
-        read_candidates(path)
+        read_candidates(path, 20)
     with pytest.raises(InputError, match="cannot read"):
-        read_candidates(tmp_path / "missing.jsonl")
+        read_candidates(tmp_path / "missing.jsonl", 20)
     good = '{"t_start": 0.0, "t_end": 1.0, "class_id": 0, "score": 0.5}\n'
     for bad in ('{"t_start": NaN, "t_end": 1.0, "class_id": 0, "score": 0.5}',
                 '{"t_start": 0.0, "t_end": Infinity, "class_id": 0, "score": 0.5}',
                 '{"t_start": 0.0, "t_end": 1.0, "class_id": 0, "score": Infinity}',
                 '{"t_start": 0.0, "t_end": 1.0, "class_id": 0, "score": NaN}',
                 '{"t_start": 5.0, "t_end": 2.0, "class_id": 0, "score": 0.5}',
-                '{"t_start": 2.0, "t_end": 2.0, "class_id": 0, "score": 0.5}'):
+                '{"t_start": 2.0, "t_end": 2.0, "class_id": 0, "score": 0.5}',
+                '[1, 2]',
+                '"record"',
+                'null',
+                '{"t_start": null, "t_end": 1.0, "class_id": 0, "score": 0.5}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": 0, "score": 0.5, "level": null}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": 0, "score": 0.5, "level": Infinity}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": null, "score": 0.5}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": 20, "score": 0.5}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": -1, "score": 0.5}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": 1.5, "score": 0.5}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": 1.0, "score": 0.5}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": "1", "score": 0.5}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": true, "score": 0.5}'):
         path.write_text(good + bad + "\n")
         with pytest.raises(InputError, match=re.escape(f"{path}:2")):
-            read_candidates(path)
+            read_candidates(path, 20)
+    path.write_text(good.replace('"class_id": 0', '"class_id": 19'))
+    assert read_candidates(path, 20)[0].class_id == 19
+
+
+@pytest.fixture(scope="module")
+def toy_heads():
+    cfg = toy_config()
+    det = DetectionConfig(num_classes=5)
+    w = init_model_weights(cfg, Rng(0).child("model"))
+    hw = init_head_weights(cfg, det, Rng(0).child("head"))
+    x = ClipTensor(Rng(0).child("input").normal(cfg.input_dims + (3,)).astype(np.float32))
+    stages = backbone_forward(x, w, cfg).stages[-2:]
+    return cfg, det, hw, stages
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("weight,label", [
+    (lambda hw: hw.tower_cls[1].weight, "level0 coarse"),
+    (lambda hw: hw.tower_loc[0].weight, "level0 coarse"),
+    (lambda hw: hw.cls_head.weight, "level0 coarse"),
+    (lambda hw: hw.loc_head.weight, "level0 coarse"),
+    (lambda hw: hw.downs[1].weight, "level3 coarse"),
+    (lambda hw: hw.refine_in.weight, "level0 refine"),
+    (lambda hw: hw.refine_out.weight, "level0 refine"),
+], ids=["tower_cls", "tower_loc", "cls_head", "loc_head", "downs1", "refine_in", "refine_out"])
+def test_non_finite_head_weight_names_its_level(toy_heads, weight, label):
+    cfg, det, hw, stages = toy_heads
+    arr = weight(hw)
+    saved = arr.flat[0]
+    arr.flat[0] = np.inf
+    try:
+        with pytest.raises(NumericError, match=rf"^{label}: "):
+            pyr = build_pyramid(stages, hw, clip_frames=cfg.input_dims[0], fps=det.clip_fps)
+            refine(pyr, predict_coarse(pyr, hw), hw)
+    finally:
+        arr.flat[0] = saved

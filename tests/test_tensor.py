@@ -20,10 +20,6 @@ def test_clip_tensor_invariants():
         ClipTensor(np.zeros((2, 3, 4), dtype=np.float32))
     with pytest.raises(ConfigError):
         ClipTensor(np.zeros((2, 3, 4, 5), dtype=np.int32))
-    bad = np.zeros((1, 1, 1, 2), dtype=np.float32)
-    bad[0, 0, 0, 1] = np.nan
-    with pytest.raises(NumericError):
-        ClipTensor(bad)
 
 
 def test_tokens_roundtrip():
