@@ -214,13 +214,13 @@ class BackboneOutput:
 
 
 def _init_linear(rng: Rng, cin: int, cout: int, dtype) -> LinearWeights:
-    w = rng.truncated_normal((cout, cin)).astype(dtype)
+    w = rng.truncated_normal((cout, cin), dtype=dtype)
     return LinearWeights(weight=w, bias=np.zeros(cout, dtype=dtype))
 
 
 def _init_conv(rng: Rng, cin: int, cout: int, kernel: Extents, stride: Extents,
                padding: Extents, groups: int, dtype) -> Conv3DWeights:
-    w = rng.truncated_normal((cout, cin // groups) + kernel).astype(dtype)
+    w = rng.truncated_normal((cout, cin // groups) + kernel, dtype=dtype)
     return Conv3DWeights(weight=w, bias=np.zeros(cout, dtype=dtype),
                          stride=stride, padding=padding, groups=groups)
 

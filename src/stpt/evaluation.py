@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .heads import _RECORD_ERRORS, DetectionCandidate, _check_segment, _class_id
+from .heads import (_RECORD_ERRORS, DetectionCandidate, _check_segment, _class_id, _number,
+                    _text)
 from .tensor import Rng
 
 
@@ -262,8 +263,9 @@ def read_ground_truth(path: str | Path, num_classes: int) -> list[GroundTruthIns
             continue
         try:
             d = json.loads(line)
-            gt = GroundTruthInstance(video_id=str(d["video_id"]), t_start=float(d["t_start"]),
-                                     t_end=float(d["t_end"]),
+            gt = GroundTruthInstance(video_id=_text(d["video_id"], "video_id"),
+                                     t_start=_number(d["t_start"], "t_start"),
+                                     t_end=_number(d["t_end"], "t_end"),
                                      class_id=_class_id(d["class_id"], num_classes))
             _check_segment(gt.t_start, gt.t_end)
             out.append(gt)

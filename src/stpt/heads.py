@@ -292,6 +292,29 @@ def _check_segment(t_start: float, t_end: float) -> None:
         raise ValueError(f"segment start {t_start} is not before its end {t_end}")
 
 
+def _number(value: object, key: str) -> float:
+    """A JSON number (int or float, not bool or string) as a float, or ValueError."""
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        return float(value)
+    raise ValueError(f"{key} {value!r} is not a number")
+
+
+def _index(value: object, key: str) -> int:
+    """A JSON integer >= 0 (not bool or float), or ValueError."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{key} {value!r} is not an integer >= 0")
+    return value
+
+
+def _text(value: object, key: str) -> str:
+    """A JSON string, or ValueError."""
+    if type(value) is not str:
+        raise ValueError(f"{key} {value!r} is not a string")
+    return value
+
+
 def _class_id(value: object, num_classes: int) -> int:
     """A JSON integer in [0, num_classes), or ValueError."""
     if type(value) is not int:  # also rejects bool, a subclass of int
@@ -320,10 +343,12 @@ def read_candidates(path: str | Path, num_classes: int) -> list[DetectionCandida
         try:
             d = json.loads(line)
             cand = DetectionCandidate(
-                t_start=float(d["t_start"]), t_end=float(d["t_end"]),
-                class_id=_class_id(d["class_id"], num_classes), score=float(d["score"]),
-                level=int(d.get("level", 0)), position=int(d.get("position", 0)),
-                video_id=str(d.get("video_id", "clip")),
+                t_start=_number(d["t_start"], "t_start"), t_end=_number(d["t_end"], "t_end"),
+                class_id=_class_id(d["class_id"], num_classes),
+                score=_number(d["score"], "score"),
+                level=_index(d.get("level", 0), "level"),
+                position=_index(d.get("position", 0), "position"),
+                video_id=_text(d.get("video_id", "clip"), "video_id"),
             )
             _check_segment(cand.t_start, cand.t_end)
             if not math.isfinite(cand.score):

@@ -10,6 +10,7 @@ from stpt.backbone import (BlockWeights, LayerNormWeights, ModelConfig, StageSpe
                            backbone_forward, default_config, init_model_weights,
                            patch_embed, stpt_block, toy_config)
 from stpt.errors import ConfigError, NumericError
+from stpt.heads import DetectionConfig, init_head_weights
 from stpt.tensor import ClipTensor, Conv3DWeights, LinearWeights, Rng, conv_output_extent
 
 
@@ -225,6 +226,35 @@ def test_f32_stages_track_the_f64_oracle(variant):
         assert a32.dtype == np.float32 and a64.dtype == np.float64
         gap = np.abs(a32 - a64).max() / np.abs(a64).max()
         assert gap <= 1e-5, gap
+
+
+def _arrays(tree):
+    """Every ndarray in a tree of weight dataclasses and tuples, in field order."""
+    if isinstance(tree, np.ndarray):
+        yield tree
+    elif dataclasses.is_dataclass(tree):
+        for field in dataclasses.fields(tree):
+            yield from _arrays(getattr(tree, field.name))
+    elif isinstance(tree, tuple):
+        for item in tree:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("variant", ["LLLL", "LLLG", "LLGG", "LGGG", "GGGG"])
+def test_f32_init_is_the_f64_init_rounded_once(variant):
+    # The f32-vs-f64 oracle compares the same model: f32 weights must be the
+    # f64 draw rounded once, bit for bit, in the backbone and in the heads.
+    det = DetectionConfig()
+    trees = {}
+    for dtype in ("f32", "f64"):
+        cfg = toy_config(variant, dtype=dtype)
+        trees[dtype] = (init_model_weights(cfg, Rng(3).child("model")),
+                        init_head_weights(cfg, det, Rng(3).child("head")))
+    pairs = list(zip(_arrays(trees["f32"]), _arrays(trees["f64"]), strict=True))
+    assert len(pairs) > 40
+    for a32, a64 in pairs:
+        assert a32.dtype == np.float32 and a64.dtype == np.float64
+        np.testing.assert_array_equal(a32, a64.astype(np.float32))
 
 
 # One weight per block, chosen in turn, so every variant's blocks between them

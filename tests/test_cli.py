@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -148,6 +149,19 @@ def test_forward_nan_input_exit_4(tmp_path, capsys):
     ini = _toy_ini(tmp_path, extra=f"input = {tensor_path}\n")
     assert main(["forward", "--config", ini]) == 4
     assert "error: input: non-finite value at index (1, 2, 3, 0)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_forward_overflowing_input_exit_4(tmp_path, capsys):
+    # Finite f32 values this large overflow the layer-norm variance; the run must
+    # end at the first block boundary, not write finite but meaningless stages.
+    clip = np.full((32, 24, 24, 3), 3e38, dtype=np.float32)
+    tensor_path = tmp_path / "huge_values.stpt"
+    write_tensor(tensor_path, clip)
+    ini = _toy_ini(tmp_path, extra=f"input = {tensor_path}\n")
+    assert main(["forward", "--config", ini]) == 4
+    assert re.search(r"error: stage\d block\d: non-finite", capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

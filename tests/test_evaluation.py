@@ -288,6 +288,14 @@ def test_read_ground_truth_rejects_bad_segments(tmp_path, t_start, t_end):
     '{"video_id": "v", "t_start": 0.0, "t_end": 1.0, "class_id": 20}',
     '{"video_id": "v", "t_start": 0.0, "t_end": 1.0, "class_id": 1.5}',
     '{"video_id": "v", "t_start": 0.0, "t_end": 1.0, "class_id": false}',
+    '{"video_id": "v", "t_start": "0.0", "t_end": 1.0, "class_id": 0}',
+    '{"video_id": "v", "t_start": 0.0, "t_end": true, "class_id": 0}',
+    '{"video_id": "v", "t_start": false, "t_end": 1.0, "class_id": 0}',
+    '{"video_id": "v", "t_start": 0.0, "t_end": {"s": 1}, "class_id": 0}',
+    '{"video_id": null, "t_start": 0.0, "t_end": 1.0, "class_id": 0}',
+    '{"video_id": 3, "t_start": 0.0, "t_end": 1.0, "class_id": 0}',
+    '{"video_id": true, "t_start": 0.0, "t_end": 1.0, "class_id": 0}',
+    '{"t_start": 0.0, "t_end": 1.0, "class_id": 0}',
 ])
 def test_read_ground_truth_rejects_bad_records(tmp_path, record):
     path = tmp_path / "gt.jsonl"
@@ -295,3 +303,11 @@ def test_read_ground_truth_rejects_bad_records(tmp_path, record):
                     + record + "\n")
     with pytest.raises(InputError, match=re.escape(f"{path}:2")):
         read_ground_truth(path, 20)
+
+
+def test_read_ground_truth_takes_integer_times_as_floats(tmp_path):
+    path = tmp_path / "gt.jsonl"
+    path.write_text('{"video_id": "v", "t_start": 0, "t_end": 3, "class_id": 2}\n')
+    (gt,) = read_ground_truth(path, 20)
+    assert (gt.video_id, gt.t_start, gt.t_end, gt.class_id) == ("v", 0.0, 3.0, 2)
+    assert type(gt.t_start) is float and type(gt.t_end) is float

@@ -2,10 +2,10 @@
 
 Every case is a valid input mutated by draws from `Rng`, so a failure replays
 from its seed and case number. The property is the documented contract of each
-reader: it either accepts the input, and what it returns obeys the record rules,
-or it raises a StptError with the documented exit code (3 for data files, 2 for
-configuration). Any other exception, or another exit code, fails the test and
-prints the input.
+reader: it either accepts the input, whose fields then all have their documented
+JSON types and what it returns obeys the record rules, or it raises a StptError
+with the documented exit code (3 for data files, 2 for configuration). Any other
+exception, or another exit code, fails the test and prints the input.
 """
 
 import json
@@ -87,6 +87,19 @@ def _mutated_record(rng: Rng, good: dict) -> str:
     return json.dumps(d)
 
 
+def _fields_typed(text: str) -> bool:
+    """Whether every record's fields have their documented JSON types."""
+    for line in text.splitlines():
+        d = json.loads(line)
+        if any(type(d[k]) not in (int, float) for k in ("t_start", "t_end", "score") if k in d):
+            return False
+        if any(type(d[k]) is not int or d[k] < 0 for k in ("level", "position") if k in d):
+            return False
+        if "video_id" in d and type(d["video_id"]) is not str:
+            return False
+    return True
+
+
 def _check_records(read, good: dict, tmp_path, label: str) -> None:
     rng = Rng(SEED).child(label)
     path = tmp_path / f"{label}.jsonl"
@@ -97,7 +110,11 @@ def _check_records(read, good: dict, tmp_path, label: str) -> None:
         text = "\n".join(lines) + "\n"
         path.write_text(text)
         out = _outcome(lambda p: read(p, NUM_CLASSES), path, 3, f"case {i}:\n{text}")
+        if out is not None:
+            assert _fields_typed(text), text
         for rec in out or ():
+            assert type(rec.t_start) is float and type(rec.t_end) is float, text
+            assert type(rec.video_id) is str, text
             assert math.isfinite(rec.t_start) and math.isfinite(rec.t_end), text
             assert rec.t_start < rec.t_end, text
             assert type(rec.class_id) is int and 0 <= rec.class_id < NUM_CLASSES, text

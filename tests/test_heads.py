@@ -231,12 +231,36 @@ def test_read_candidates_error_reporting(tmp_path):
                 '{"t_start": 0.0, "t_end": 1.0, "class_id": 1.5, "score": 0.5}',
                 '{"t_start": 0.0, "t_end": 1.0, "class_id": 1.0, "score": 0.5}',
                 '{"t_start": 0.0, "t_end": 1.0, "class_id": "1", "score": 0.5}',
-                '{"t_start": 0.0, "t_end": 1.0, "class_id": true, "score": 0.5}'):
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": true, "score": 0.5}',
+                '{"t_start": "0.0", "t_end": 1.0, "class_id": 0, "score": 0.5}',
+                '{"t_start": 0.0, "t_end": true, "class_id": 0, "score": 0.5}',
+                '{"t_start": false, "t_end": 1.0, "class_id": 0, "score": 0.5}',
+                '{"t_start": 0.0, "t_end": [1.0], "class_id": 0, "score": 0.5}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": 0, "score": "0.5"}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": 0, "score": true}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": 0, "score": 0.5, "level": 1.7}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": 0, "score": 0.5, "level": 1.0}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": 0, "score": 0.5, "level": -1}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": 0, "score": 0.5, "level": "2"}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": 0, "score": 0.5, "position": false}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": 0, "score": 0.5, "position": 2.5}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": 0, "score": 0.5, "position": -3}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": 0, "score": 0.5, "video_id": null}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": 0, "score": 0.5, "video_id": 7}',
+                '{"t_start": 0.0, "t_end": 1.0, "class_id": 0, "score": 0.5, "video_id": ["v"]}'):
         path.write_text(good + bad + "\n")
         with pytest.raises(InputError, match=re.escape(f"{path}:2")):
             read_candidates(path, 20)
     path.write_text(good.replace('"class_id": 0', '"class_id": 19'))
     assert read_candidates(path, 20)[0].class_id == 19
+    # JSON integers are numbers too; omitted level, position and video_id default.
+    path.write_text('{"t_start": 0, "t_end": 2, "class_id": 1, "score": 1, "level": 3, '
+                    '"position": 0, "video_id": "v"}\n' + good)
+    a, b = read_candidates(path, 20)
+    assert (a.t_start, a.t_end, a.score) == (0.0, 2.0, 1.0)
+    assert (a.level, a.position, a.video_id) == (3, 0, "v")
+    assert type(a.t_start) is float and type(a.t_end) is float and type(a.score) is float
+    assert (b.level, b.position, b.video_id) == (0, 0, "clip")
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from stpt.errors import ConfigError, InputError, NumericError
 from stpt.tensor import (ClipTensor, Conv3DWeights, LinearWeights, Rng, conv3d,
@@ -84,6 +85,23 @@ def test_layer_norm_shift_invariance():
     a = layer_norm(x, np.ones(8, np.float32), np.zeros(8, np.float32))
     b = layer_norm(x + shift, np.ones(8, np.float32), np.zeros(8, np.float32))
     np.testing.assert_allclose(a, b, atol=1e-5)
+
+
+def test_layer_norm_variance_overflow_is_nan():
+    # The f32 square inside var overflows for this token; an infinite variance
+    # would normalise it to exactly 0, so it must come out NaN instead.
+    x = np.array([[3e19, -3e19, 1.0, 0.0], [1.0, 2.0, 3.0, 4.0]], dtype=np.float32)
+    g, b = np.array([1.0, 2.0, 0.5, 1.0]), np.array([0.0, 0.1, 0.0, -0.2])
+    with np.errstate(over="ignore"):
+        out = layer_norm(x, g.astype(np.float32), b.astype(np.float32))
+    assert np.isnan(out[0]).all()
+    assert np.isfinite(out[1]).all()
+    x64 = x.astype(np.float64)
+    mu = x64.mean(axis=-1, keepdims=True)
+    want = (x64 - mu) / np.sqrt(x64.var(axis=-1, keepdims=True) + 1e-5) * g + b
+    out64 = layer_norm(x64, g, b)
+    assert np.isfinite(out64).all()
+    np.testing.assert_array_equal(out64, want)
 
 
 def test_gelu_values():
@@ -313,6 +331,46 @@ def test_rng_distributions_sane():
     assert np.abs(t).max() <= 0.04 + 1e-12
     ints = Rng(3).integers(0, 5, (1000,))
     assert set(np.unique(ints)) == {0, 1, 2, 3, 4}
+
+
+def _exact_truncated_normal(seed: int, n: int, std: float) -> np.ndarray:
+    """std * ndtri on the same uniforms the Rng draws, without the table."""
+    u = Rng(seed)._gen.random(n)
+    lo, hi = special.ndtr(-2.0), special.ndtr(2.0)
+    return std * special.ndtri(lo + (hi - lo) * u)
+
+
+@pytest.mark.parametrize("std", [0.02, 1.0])
+def test_truncated_normal_tracks_the_exact_inverse_cdf(std):
+    n = 1_100_000
+    got = Rng(5).truncated_normal((n,), std=std)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert np.abs(got - _exact_truncated_normal(5, n, std)).max() <= 1e-7 * std
+    assert np.abs(got).max() <= 2 * std
+    assert abs(got.mean()) < 0.01 * std and abs(got.std() / std - 0.8796) < 0.01
+
+
+@pytest.mark.parametrize("a,b", [(0, 7), (1, 16383), (16383, 2), (16384, 16384),
+                                 (20000, 33000), ((), 40000)])
+def test_truncated_normal_consumes_one_uniform_per_value(a, b):
+    na = 1 if a == () else a
+    whole = Rng(9).truncated_normal((na + b,))
+    r = Rng(9)
+    first = r.truncated_normal(a if a == () else (a,))
+    assert first.shape == (() if a == () else (a,))
+    second = r.truncated_normal((b,))
+    np.testing.assert_array_equal(np.concatenate([first.reshape(-1), second]), whole)
+    # The next uniform is the one after the na + b the draws consumed.
+    assert r.uniform() == Rng(9)._gen.random(na + b + 1)[-1]
+
+
+def test_truncated_normal_returns_the_requested_dtype():
+    for dtype in (np.float32, np.float64):
+        w = Rng(4).truncated_normal((3, 5, 7), std=0.02, dtype=dtype)
+        assert w.dtype == dtype and w.shape == (3, 5, 7)
+    # f32 is the f64 draw rounded once.
+    w32 = Rng(4).truncated_normal((50000,), dtype=np.float32)
+    np.testing.assert_array_equal(w32, Rng(4).truncated_normal((50000,)).astype(np.float32))
 
 
 def test_tensor_file_roundtrip(tmp_path):
