@@ -28,9 +28,12 @@ import dataclasses
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import ClipTensor, Conv3DWeights, LinearWeights, linear, softmax
+from .tensor import ClipTensor, Conv3DWeights, LinearWeights, linear, row_blocks, softmax
 
 Extents = tuple[int, int, int]
+
+# Bytes of attention scores computed at once (see _attend).
+SCORE_BLOCK_BYTES = 16 * 1024 * 1024
 
 
 @dataclasses.dataclass(frozen=True)
@@ -199,16 +202,30 @@ def _reduced_valid_mask(orig: Extents, reduced: Extents, ratios: Extents) -> np.
 
 
 def _attend(x: ClipTensor, p: AttentionParams, extents: Extents) -> ClipTensor:
-    """Each window of the map attends to the matching window of the reduced K/V maps."""
+    """Each window of the map attends to the matching window of the reduced K/V maps.
+
+    Q, K and V are dropped as soon as they are partitioned or reduced, and
+    `attn @ V` is written straight into a (windows, tokens, heads, dh) buffer,
+    so merging the heads is a view. When one call's scores would exceed
+    SCORE_BLOCK_BYTES, scores -> softmax -> @ V runs one window at a time, and
+    inside a window too large by itself in blocks of query rows (see
+    `row_blocks`). The batched GEMMs treat every window on its own, softmax is
+    row-local, and every row block is a large GEMM, so the output bytes do not
+    change. Below the budget nothing is split: score GEMMs with few keys (4
+    keys and 1 head, as on the toy stage 1) change bits on OpenBLAS 0.3.31
+    even in 256-row blocks.
+    """
     ratios = p.reduction.ratios
     q, k, v = _project_qkv(x, p)
 
     qw, rec = partition_windows(q, extents)
+    del q
     red = rec.reduced(ratios)
     # Reduce the padded K/V maps so the reduced grid tiles into exactly one
     # reduced window per full-resolution window.
     kred, vred = reduce_kv(ClipTensor(_pad_to(k, rec.padded)), ClipTensor(_pad_to(v, rec.padded)),
                            p.reduction)
+    del k, v
     kw, krec = partition_windows(kred.data, red.extents)
     vw, _ = partition_windows(vred.data, red.extents)
     if krec.counts != rec.counts:
@@ -222,17 +239,33 @@ def _attend(x: ClipTensor, p: AttentionParams, extents: Extents) -> ClipTensor:
         mask = maskw[:, None, None, :, 0]  # (num_windows, 1, 1, reduced_window_tokens)
 
     heads, dh = p.heads, p.channels // p.heads
-    nwin = rec.num_windows
-    qh = qw.reshape(nwin, rec.window_tokens, heads, dh).transpose(0, 2, 1, 3)
-    kh = kw.reshape(nwin, krec.window_tokens, heads, dh).transpose(0, 2, 1, 3)
-    vh = vw.reshape(nwin, krec.window_tokens, heads, dh).transpose(0, 2, 1, 3)
-    scores = (qh * dh ** -0.5) @ kh.transpose(0, 1, 3, 2)
-    attn = softmax(scores, mask=mask)
-    out = attn @ vh  # (nwin, heads, window_tokens, dh)
-    out = out.transpose(0, 2, 1, 3).reshape(nwin, rec.window_tokens, p.channels)
-    merged = merge_windows(out, rec)
+    nwin, nq, nk = rec.num_windows, rec.window_tokens, krec.window_tokens
+    qw *= dh ** -0.5
+    qh = qw.reshape(nwin, nq, heads, dh).transpose(0, 2, 1, 3)
+    kt = kw.reshape(nwin, nk, heads, dh).transpose(0, 2, 3, 1)
+    vh = vw.reshape(nwin, nk, heads, dh).transpose(0, 2, 1, 3)
+    out = np.empty((nwin, nq, heads, dh), dtype=qw.dtype)
+    outh = out.transpose(0, 2, 1, 3)  # (nwin, heads, window_tokens, dh)
+    for w0, w1, r0, r1 in _score_blocks(nwin, nq, heads * nk * qw.itemsize):
+        scores = qh[w0:w1, :, r0:r1] @ kt[w0:w1]
+        attn = softmax(scores, mask=None if mask is None else mask[w0:w1])
+        del scores
+        np.matmul(attn, vh[w0:w1], out=outh[w0:w1, :, r0:r1])
+        del attn
+    del qw, qh
+    merged = merge_windows(out.reshape(nwin, nq, p.channels), rec)
     y = linear(merged.reshape(-1, p.channels), p.wo)
     return ClipTensor(y.reshape(x.dims + (p.channels,)))
+
+
+def _score_blocks(nwin: int, nq: int, row_bytes: int):
+    """(w0, w1, r0, r1) blocks of windows w0:w1 and query rows r0:r1 under SCORE_BLOCK_BYTES."""
+    if nwin * nq * row_bytes <= SCORE_BLOCK_BYTES:
+        yield 0, nwin, 0, nq
+        return
+    for wi in range(nwin):
+        for r0, r1 in row_blocks(nq, row_bytes, SCORE_BLOCK_BYTES):
+            yield wi, wi + 1, r0, r1
 
 
 def lsta_forward(x: ClipTensor, p: AttentionParams) -> ClipTensor:

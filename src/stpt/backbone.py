@@ -29,11 +29,14 @@ from .tensor import (
     gelu,
     layer_norm,
     linear,
+    row_blocks,
 )
 
 Extents = tuple[int, int, int]
 
 HEAD_CHANNELS = 96  # channels per attention head; heads per stage = C_s / 96
+# Bytes of MLP hidden map per row block (see stpt_block).
+MLP_BLOCK_BYTES = 3 * 1024 * 1024
 
 
 @dataclasses.dataclass(frozen=True)
@@ -293,7 +296,32 @@ def patch_embed(x: ClipTensor, w: PatchEmbedWeights) -> ClipTensor:
     return conv3d(x, w.proj)
 
 
+def _mlp_residual(x: np.ndarray, w: BlockWeights) -> np.ndarray:
+    """x + mlp_out(gelu(mlp_in(ln2(x)))) over row blocks of the (tokens, C) map x.
+
+    Private, so that the kernels it calls stay direct children of stpt_block
+    for a tracer that wraps public functions.
+    """
+    out = np.empty_like(x)
+    hidden_row_bytes = w.mlp_in.out_channels * x.itemsize
+    for a, b in row_blocks(len(x), hidden_row_bytes, MLP_BLOCK_BYTES):
+        normed = layer_norm(x[a:b], w.ln2.gamma, w.ln2.beta)
+        hidden = gelu(linear(normed, w.mlp_in))
+        np.add(x[a:b], linear(hidden, w.mlp_out), out=out[a:b])
+    return out
+
+
 def stpt_block(x: ClipTensor, w: BlockWeights, cpe_enabled: bool = True) -> ClipTensor:
+    """CPE, pre-norm attention and pre-norm MLP, each added residually.
+
+    The MLP runs over token-row blocks whose hidden map is at most about
+    MLP_BLOCK_BYTES (2048 rows on the default stage 1, in f32), written into
+    one output, so the hidden map and its GELU buffer are never held whole.
+    Layer norm, GELU and the residual add are row-local, and each row of a
+    blocked GEMM gets the same bits as in the whole-map GEMM as long as every
+    block has enough rows (see `row_blocks`), so blocking leaves the output
+    bytes unchanged.
+    """
     dims = x.dims
     c = x.channels
     if cpe_enabled:
@@ -301,10 +329,10 @@ def stpt_block(x: ClipTensor, w: BlockWeights, cpe_enabled: bool = True) -> Clip
     normed = layer_norm(x.tokens(), w.ln1.gamma, w.ln1.beta)
     nmap = ClipTensor(normed.reshape(dims + (c,)))
     attn = lsta_forward(nmap, w.attn) if w.attn.kind == "local" else gsta_forward(nmap, w.attn)
+    del normed, nmap
     x = ClipTensor(x.data + attn.data)
-    normed2 = layer_norm(x.tokens(), w.ln2.gamma, w.ln2.beta)
-    hidden = gelu(linear(normed2, w.mlp_in))
-    out = x.tokens() + linear(hidden, w.mlp_out)
+    del attn
+    out = _mlp_residual(x.tokens(), w)
     return ClipTensor(out.reshape(dims + (c,)))
 
 

@@ -107,16 +107,6 @@ class CostReport:
     def total_params(self) -> int:
         return sum(ln.params for ln in self.lines)
 
-    def by_stage(self) -> dict[str, dict[str, int]]:
-        out: dict[str, dict[str, int]] = {}
-        for ln in self.lines:
-            acc = out.setdefault(ln.stage, {"macs": 0, "aux_elements": 0, "flops": 0, "params": 0})
-            acc["macs"] += ln.macs
-            acc["aux_elements"] += ln.aux_elements
-            acc["flops"] += ln.flops
-            acc["params"] += ln.params
-        return out
-
     def render_text(self) -> str:
         header = f"{'stage':<8} {'unit':<10} {'part':<10} {'MACs(G)':>10} {'FLOPs(G)':>10} {'params(M)':>10}"
         rows = [header, "-" * len(header)]

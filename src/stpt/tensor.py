@@ -24,9 +24,11 @@ import functools
 import hashlib
 import json
 import math
+import os
+import stat
 import struct
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy import special
@@ -35,6 +37,11 @@ from .errors import ConfigError, InputError, NumericError
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
 DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+
+# Output bytes per depth-wise conv3d slab (see conv3d).
+DW_SLAB_BYTES = 256 * 1024
+# Fewest rows in a block from row_blocks.
+ROW_BLOCK_MIN = 64
 
 
 def check_finite(label: str, arr: np.ndarray) -> None:
@@ -75,11 +82,6 @@ class ClipTensor:
     def tokens(self) -> np.ndarray:
         """(T*H*W, C) token matrix, T-major."""
         return self.data.reshape(-1, self.data.shape[3])
-
-    @staticmethod
-    def from_tokens(tokens: np.ndarray, dims: tuple[int, int, int]) -> "ClipTensor":
-        t, h, w = dims
-        return ClipTensor(tokens.reshape(t, h, w, tokens.shape[1]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,9 +165,11 @@ def linear(x: np.ndarray, w: LinearWeights) -> np.ndarray:
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Normalize the channel (last) axis per token."""
     mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
     # An f32 token of about 2e19 overflows the square inside var; an infinite
-    # variance would normalise it to exactly 0, so make it NaN for check_finite.
+    # variance would normalise it to exactly 0, so make it NaN for check_finite,
+    # which reports it. numpy's overflow warning would only repeat that report.
+    with np.errstate(over="ignore"):
+        var = x.var(axis=-1, keepdims=True)
     var[np.isinf(var)] = np.nan
     y = x - mean
     y /= np.sqrt(var + eps)
@@ -219,12 +223,36 @@ def softmax(scores: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     return e
 
 
+def row_blocks(n: int, row_bytes: int, budget: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) pairs that split n rows of row_bytes each into blocks of about budget bytes.
+
+    Every block has at least ROW_BLOCK_MIN rows, even past the budget, and a
+    tail shorter than that joins the block before it; rows that fit the budget
+    give exactly one block. Callers run a row-local computation block by block
+    into one output, and rely on BLAS giving every row of a GEMM the same bits
+    whatever the row count. On OpenBLAS 0.3.31 that holds only from 16 rows up:
+    a 1-row product goes to gemv, and products of fewer than 16 rows differ at
+    K=384, N=96. The floor keeps every block well above that.
+    """
+    rows = max(ROW_BLOCK_MIN, budget // row_bytes)
+    start = 0
+    while n - start - rows >= ROW_BLOCK_MIN:
+        yield start, start + rows
+        start += rows
+    yield start, n
+
+
 def conv3d(x: ClipTensor, w: Conv3DWeights) -> ClipTensor:
     """Strided 3D cross-correlation with zero padding, dense or depth-wise.
 
     Implemented as a sum over kernel taps of strided slices of the padded map,
-    so no im2col buffer is materialized. A dense tap is a matmul; depth-wise
-    taps are multiplied into one reused product buffer and accumulated in place.
+    so no im2col buffer is materialized. A dense tap is one matmul over the
+    whole map. Depth-wise taps run over output-time slabs of at most
+    DW_SLAB_BYTES of output (one frame at least): per slab, each tap is
+    multiplied into one reused product buffer and accumulated in place, so a
+    slab's output and products stay in cache across all taps. Every output
+    element is still the bias plus the taps' products added in tap order, so
+    the slab size does not change a single bit.
     """
     t, h, wd = x.dims
     c = x.channels
@@ -244,22 +272,31 @@ def conv3d(x: ClipTensor, w: Conv3DWeights) -> ClipTensor:
         xp[pt:pt + t, ph:ph + h, pw:pw + wd, :] = x.data
     cout = w.out_channels
     out = np.zeros((to, ho, wo, cout), dtype=dtype)
-    out += w.bias.astype(dtype, copy=False)
-
+    bias = w.bias.astype(dtype, copy=False)
     wf = w.weight.astype(dtype, copy=False)
-    dense = w.groups == 1
-    if not dense:
-        taps = np.ascontiguousarray(np.moveaxis(wf[:, 0], 0, -1))  # (kt, kh, kw, c)
-        prod = np.empty_like(out)
-    for it in range(kt):
-        for ih in range(kh):
-            for iw in range(kw):
-                sl = xp[it:it + st * to:st, ih:ih + sh * ho:sh, iw:iw + sw * wo:sw, :]
-                if dense:
+    if w.groups == 1:
+        out += bias
+        for it in range(kt):
+            for ih in range(kh):
+                for iw in range(kw):
+                    sl = xp[it:it + st * to:st, ih:ih + sh * ho:sh, iw:iw + sw * wo:sw, :]
                     out += (sl.reshape(-1, c) @ wf[:, :, it, ih, iw].T).reshape(to, ho, wo, cout)
-                else:
-                    np.multiply(sl, taps[it, ih, iw], out=prod)
-                    out += prod
+        return ClipTensor(out)
+
+    taps = np.ascontiguousarray(np.moveaxis(wf[:, 0], 0, -1))  # (kt, kh, kw, c)
+    frames = max(1, DW_SLAB_BYTES // (ho * wo * cout * out.itemsize))
+    prod = np.empty((min(frames, to), ho, wo, cout), dtype=dtype)
+    for a in range(0, to, frames):
+        b = min(a + frames, to)
+        o, p = out[a:b], prod[:b - a]
+        o += bias
+        for it in range(kt):
+            t0 = it + st * a
+            for ih in range(kh):
+                for iw in range(kw):
+                    sl = xp[t0:t0 + st * (b - a):st, ih:ih + sh * ho:sh, iw:iw + sw * wo:sw, :]
+                    np.multiply(sl, taps[it, ih, iw], out=p)
+                    o += p
     return ClipTensor(out)
 
 
@@ -410,32 +447,50 @@ def write_tensor(path: str | Path, arr: np.ndarray) -> None:
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
+    """Read a tensor file straight into its array, so the payload is held once.
+
+    The header is parsed and bounded first. For a regular file the payload
+    size is checked against the file's size before the array is allocated; a
+    pipe or other stream is read into the array and must end right after it.
+    """
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            return _read_tensor_from(fh, path)
     except OSError as exc:
         raise InputError(f"read_tensor: cannot read {path}: {exc}") from exc
-    if len(raw) < 8 or raw[:4] != MAGIC:
+
+
+def _read_tensor_from(fh, path) -> np.ndarray:
+    head = fh.read(8)
+    if len(head) < 8 or head[:4] != MAGIC:
         raise InputError(f"read_tensor: {path} is not a tensor file (bad magic)")
-    version = struct.unpack("<H", raw[4:6])[0]
+    version = struct.unpack("<H", head[4:6])[0]
     if version != FORMAT_VERSION:
-        raise InputError(f"read_tensor: unsupported format version {version}")
-    code, rank = raw[6], raw[7]
+        raise InputError(f"read_tensor: unsupported format version {version} in {path}")
+    code, rank = head[6], head[7]
     if code not in _CODE_DTYPES:
-        raise InputError(f"read_tensor: unknown dtype code {code}")
-    header = 8 + 8 * rank
-    if len(raw) < header:
+        raise InputError(f"read_tensor: unknown dtype code {code} in {path}")
+    raw_dims = fh.read(8 * rank)
+    if len(raw_dims) < 8 * rank:
         raise InputError(f"read_tensor: truncated header in {path}")
-    dims = struct.unpack(f"<{rank}Q", raw[8:header])
+    dims = struct.unpack(f"<{rank}Q", raw_dims)
     dtype = _CODE_DTYPES[code]
     # Python ints cannot overflow; numpy refuses any shape whose non-zero
     # extents span more bytes than intp can index, even for an empty array.
     if math.prod(max(d, 1) for d in dims) * dtype.itemsize > np.iinfo(np.intp).max:
         raise InputError(f"read_tensor: dims {dims} too large in {path}")
-    count = math.prod(dims)
-    if len(raw) != header + count * dtype.itemsize:
+    # Check the size before allocating, so a short file cannot claim a huge array.
+    nbytes = math.prod(dims) * dtype.itemsize
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode) and st.st_size != 8 + 8 * rank + nbytes:
         raise InputError(f"read_tensor: payload size mismatch in {path}")
-    arr = np.frombuffer(raw, dtype=dtype, count=count, offset=header).reshape(dims)
-    return arr.astype(dtype.newbyteorder("="))
+    try:
+        arr = np.empty(dims, dtype=dtype)
+    except MemoryError:
+        raise InputError(f"read_tensor: dims {dims} too large in {path}") from None
+    if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes or fh.read(1):
+        raise InputError(f"read_tensor: payload size mismatch in {path}")
+    return arr.astype(dtype.newbyteorder("="), copy=False)
 
 
 def write_bundle(dirpath: str | Path, tensors: dict[str, np.ndarray]) -> None:

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from stpt import attention
 from stpt.attention import (AttentionParams, PartitionRecord, ReductionSpec,
                             WindowSpec, gsta_forward, lsta_forward, merge_windows,
                             partition_windows, reduce_kv)
 from stpt.errors import ConfigError
-from stpt.tensor import ClipTensor, Conv3DWeights, LinearWeights, Rng, conv3d
+from stpt.tensor import ClipTensor, Conv3DWeights, LinearWeights, Rng, conv3d, softmax
 
 
 def _linear(rng, c, dtype):
@@ -291,3 +292,50 @@ def test_lsta_determinism():
     a = lsta_forward(x, p).data
     b = lsta_forward(x, p).data
     np.testing.assert_array_equal(a, b)
+
+
+def _count_softmax(monkeypatch):
+    calls = []
+
+    def counted(scores, mask=None):
+        calls.append(scores.shape)
+        return softmax(scores, mask=mask)
+    monkeypatch.setattr(attention, "softmax", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_global_attention_in_query_row_blocks_is_bit_identical(monkeypatch, dtype):
+    # The default stage-3 global map: 2304 queries, 288 reduced keys, 4 heads.
+    # A budget of 300 query rows splits the one window into 8 row blocks.
+    c, heads = 384, 4
+    p = _params(Rng(40), c, heads, "global", ratios=(2, 2, 2), dtype=dtype)
+    x = ClipTensor(Rng(41).normal((64, 6, 6, c)).astype(dtype))
+    calls = _count_softmax(monkeypatch)
+    monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", 1 << 40)
+    whole = gsta_forward(x, p).data
+    assert calls == [(1, heads, 2304, 288)]
+    row_bytes = heads * 288 * np.dtype(dtype).itemsize
+    monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", 300 * row_bytes)
+    blocked = gsta_forward(x, p).data
+    assert calls[1:] == [(1, heads, 300, 288)] * 7 + [(1, heads, 204, 288)]
+    assert blocked.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_local_attention_window_by_window_is_bit_identical(monkeypatch, dtype):
+    # 8 windows of 8x6x6 queries and 36 reduced keys; T = 13 masks the last
+    # reduced frame of the second temporal window row. A budget of three
+    # windows' scores runs them one at a time.
+    c, heads = 192, 2
+    p = _params(Rng(42), c, heads, "local", window=(8, 6, 6), ratios=(2, 2, 2), dtype=dtype)
+    x = ClipTensor(Rng(43).normal((13, 12, 12, c)).astype(dtype))
+    calls = _count_softmax(monkeypatch)
+    monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", 1 << 40)
+    whole = lsta_forward(x, p).data
+    assert calls == [(8, heads, 288, 36)]
+    window_bytes = heads * 288 * 36 * np.dtype(dtype).itemsize
+    monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", 3 * window_bytes)
+    blocked = lsta_forward(x, p).data
+    assert calls[1:] == [(1, heads, 288, 36)] * 8
+    assert blocked.tobytes() == whole.tobytes()

@@ -1,17 +1,21 @@
 """Stage geometry, block wiring, and deterministic initialization."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from stpt import backbone, tensor
 from stpt.attention import AttentionParams, ReductionSpec, WindowSpec
 from stpt.backbone import (BlockWeights, LayerNormWeights, ModelConfig, StageSpec,
                            backbone_forward, default_config, init_model_weights,
                            patch_embed, stpt_block, toy_config)
 from stpt.errors import ConfigError, NumericError
 from stpt.heads import DetectionConfig, init_head_weights
-from stpt.tensor import ClipTensor, Conv3DWeights, LinearWeights, Rng, conv_output_extent
+from stpt.tensor import (DTYPES, ROW_BLOCK_MIN, ClipTensor, Conv3DWeights, LinearWeights, Rng,
+                         conv_output_extent, gelu)
 
 
 def test_default_stage_geometry():
@@ -288,3 +292,48 @@ def test_non_finite_weight_names_its_block(variant):
             finally:
                 arr.flat[0] = saved
 
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("variant", ["LLLL", "LLLG", "LLGG", "LGGG", "GGGG"])
+def test_blocked_mlp_and_depthwise_conv_are_bit_identical(monkeypatch, variant, dtype):
+    # Budgets of one byte give one-frame depth-wise slabs and 64-row MLP blocks
+    # (the floor) on every toy map; a huge budget gives one block each.
+    cfg = toy_config(variant, dtype=dtype)
+    weights = init_model_weights(cfg, Rng(3).child("model"))
+    clip = Rng(3).child("input").normal(cfg.input_dims + (cfg.in_channels,))
+    x = ClipTensor(clip.astype(DTYPES[dtype]))
+    rows = []
+    monkeypatch.setattr(backbone, "gelu", lambda h: rows.append(len(h)) or gelu(h))
+    runs = {}
+    for budget in (1 << 40, 1):
+        monkeypatch.setattr(tensor, "DW_SLAB_BYTES", budget)
+        monkeypatch.setattr(backbone, "MLP_BLOCK_BYTES", budget)
+        rows.clear()
+        runs[budget] = [s.data.tobytes() for s in backbone_forward(x, weights, cfg).stages]
+    # rows now holds the MLP blocks of the one-byte run.
+    assert len(rows) > sum(spec.depth for spec in cfg.stages)  # stage 1 and 2 MLPs split
+    whole_maps = {math.prod(d) for d in cfg.stage_dims()}
+    assert all(n >= ROW_BLOCK_MIN or n in whole_maps for n in rows)
+    assert runs[1] == runs[1 << 40]
+
+
+def test_blocked_mlp_never_holds_the_hidden_map():
+    # With the default MLP ratio of 4 the attention part alone holds more than
+    # four maps at once (the CPE sum, its norm, Q, K and V), so a ratio of 16
+    # makes the hidden map the largest thing a whole-map MLP would hold:
+    # 4096 tokens x 1536 channels, 24 MiB in f32, eight times MLP_BLOCK_BYTES.
+    dims, c = (16, 16, 16), 96
+    spec = StageSpec(channels=c, depth=1, kind="local", patch_kernel=(1, 1, 1),
+                     patch_stride=(1, 1, 1), reduction=(2, 8, 8), windows=((8, 8, 8),))
+    cfg = ModelConfig(stages=(spec,), input_dims=dims, in_channels=c, mlp_ratio=16)
+    bw = init_model_weights(cfg, Rng(7)).stages[0].blocks[0]
+    x = ClipTensor(Rng(8).normal(dims + (c,)).astype(np.float32))
+    hidden_bytes = math.prod(dims) * bw.mlp_in.out_channels * 4
+    assert hidden_bytes >= 8 * backbone.MLP_BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        stpt_block(x, bw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < hidden_bytes, (peak, hidden_bytes)

@@ -152,16 +152,35 @@ def test_forward_nan_input_exit_4(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_forward_overflowing_input_exit_4(tmp_path, capsys):
+def _overflowing_input_ini(tmp_path):
     # Finite f32 values this large overflow the layer-norm variance; the run must
     # end at the first block boundary, not write finite but meaningless stages.
     clip = np.full((32, 24, 24, 3), 3e38, dtype=np.float32)
     tensor_path = tmp_path / "huge_values.stpt"
     write_tensor(tensor_path, clip)
-    ini = _toy_ini(tmp_path, extra=f"input = {tensor_path}\n")
-    assert main(["forward", "--config", ini]) == 4
+    return _toy_ini(tmp_path, extra=f"input = {tensor_path}\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_forward_overflowing_input_exit_4(tmp_path, capsys):
+    assert main(["forward", "--config", _overflowing_input_ini(tmp_path)]) == 4
     assert re.search(r"error: stage\d block\d: non-finite", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_forward_overflowing_input_prints_only_the_error(tmp_path):
+    # pytest captures warnings in-process, so only a child process shows that no
+    # numpy warning (or numpy source line) reaches stderr before the error.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(stpt.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "stpt.cli", "forward", "--config",
+                           _overflowing_input_ini(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 4, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: stage1 block0: non-finite"), proc.stderr
     assert not (tmp_path / "out").exists()
 
 

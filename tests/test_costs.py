@@ -79,7 +79,11 @@ def test_report_lines_are_consistent():
     report = model_cost(default_config(), DetectionConfig())
     assert report.total_flops == (2 * report.total_macs
                                   + AUX_FLOPS_PER_ELEMENT * report.total_aux_elements)
-    stage_sum = report.by_stage()
+    stage_sum: dict[str, dict[str, int]] = {}
+    for ln in report.lines:
+        acc = stage_sum.setdefault(ln.stage, {"flops": 0, "params": 0})
+        acc["flops"] += ln.flops
+        acc["params"] += ln.params
     assert sum(v["flops"] for v in stage_sum.values()) == report.total_flops
     assert sum(v["params"] for v in stage_sum.values()) == report.total_params
     for ln in report.lines:

@@ -1,16 +1,19 @@
 """Kernel-layer tests: oracles for linear/conv/norm, rng, and the file format."""
 
+import os
 import struct
+import threading
 import warnings
 
 import numpy as np
 import pytest
 from scipy import special
 
+from stpt import tensor
 from stpt.errors import ConfigError, InputError, NumericError
-from stpt.tensor import (ClipTensor, Conv3DWeights, LinearWeights, Rng, conv3d,
+from stpt.tensor import (ROW_BLOCK_MIN, ClipTensor, Conv3DWeights, LinearWeights, Rng, conv3d,
                          conv_output_extent, finite_diff_grad, gelu, gradcheck,
-                         layer_norm, linear, read_bundle, read_tensor, sigmoid,
+                         layer_norm, linear, read_bundle, read_tensor, row_blocks, sigmoid,
                          softmax, softplus, write_bundle, write_tensor)
 
 
@@ -27,8 +30,10 @@ def test_tokens_roundtrip():
     rng = Rng(0)
     x = rng.normal((2, 3, 4, 5)).astype(np.float32)
     t = ClipTensor(x)
-    back = t.from_tokens(t.tokens(), t.dims)
-    np.testing.assert_array_equal(back.data, x)
+    tokens = t.tokens()
+    assert tokens.shape == (24, 5)
+    np.testing.assert_array_equal(tokens[(1 * 3 + 2) * 4 + 3], x[1, 2, 3])  # T-major
+    np.testing.assert_array_equal(tokens.reshape(t.dims + (t.channels,)), x)
 
 
 def test_linear_identity_and_bias():
@@ -212,6 +217,44 @@ def test_conv3d_depthwise_matches_naive():
                       stride=(1, 1, 1), padding=(1, 1, 1), groups=2)
     got = conv3d(ClipTensor(x), w).data
     np.testing.assert_allclose(got, _naive_conv(x, w), rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride,padding", [((1, 1, 1), (1, 1, 1)), ((2, 2, 2), (1, 1, 1)),
+                                            ((2, 8, 8), (1, 1, 1)), ((3, 1, 2), (0, 1, 0))])
+def test_conv3d_depthwise_slabs_are_bit_identical(monkeypatch, dtype, stride, padding):
+    rng = Rng(18)
+    x = ClipTensor(rng.normal((14, 9, 17, 6)).astype(dtype))
+    w = Conv3DWeights(weight=rng.child("w").normal((6, 1, 3, 3, 3)).astype(dtype),
+                      bias=rng.child("b").normal((6,)).astype(dtype),
+                      stride=stride, padding=padding, groups=6)
+    monkeypatch.setattr(tensor, "DW_SLAB_BYTES", 1 << 40)
+    whole = conv3d(x, w).data
+    frame_bytes = whole[0].nbytes
+    assert len(whole) > 3
+    for frames in (1, 2, 3, len(whole) - 1):
+        monkeypatch.setattr(tensor, "DW_SLAB_BYTES", frames * frame_bytes + frame_bytes // 2)
+        assert conv3d(x, w).data.tobytes() == whole.tobytes(), frames
+    monkeypatch.setattr(tensor, "DW_SLAB_BYTES", 1)  # below one frame: one-frame slabs
+    assert conv3d(x, w).data.tobytes() == whole.tobytes()
+
+
+def test_row_blocks_cover_the_rows_with_the_floor_and_a_merged_tail():
+    assert list(row_blocks(5000, 4, 1 << 20)) == [(0, 5000)]  # fits: exactly one block
+    assert list(row_blocks(5000, 4, 4 * 5000)) == [(0, 5000)]
+    assert list(row_blocks(10, 4, 1)) == [(0, 10)]  # fewer rows than the floor
+    assert list(row_blocks(300, 1, 100)) == [(0, 100), (100, 200), (200, 300)]
+    assert list(row_blocks(330, 1, 100)) == [(0, 100), (100, 200), (200, 330)]  # tail of 30
+    assert list(row_blocks(364, 1, 100)) == [(0, 100), (100, 200), (200, 300), (300, 364)]
+    assert list(row_blocks(200, 8, 8)) == [(0, 64), (64, 128), (128, 200)]  # floor over budget
+    for n in (1, 63, 64, 65, 127, 128, 129, 1000, 4097):
+        for row_bytes, budget in ((1, 1), (4, 300), (3, 1000), (1536, 3 << 20), (7, 7 * 200)):
+            blocks = list(row_blocks(n, row_bytes, budget))
+            rows = max(ROW_BLOCK_MIN, budget // row_bytes)
+            assert blocks[0][0] == 0 and blocks[-1][1] == n
+            assert all(b0[1] == b1[0] for b0, b1 in zip(blocks, blocks[1:]))
+            assert all(min(n, ROW_BLOCK_MIN) <= b - a < rows + ROW_BLOCK_MIN for a, b in blocks)
+            assert len(blocks) == 1 or all(b - a == rows for a, b in blocks[:-1])
 
 
 def test_conv3d_impulse_response():
@@ -409,6 +452,75 @@ def test_tensor_file_scalar_and_corruption(tmp_path):
 
     with pytest.raises(InputError):
         read_tensor(tmp_path / "missing.stpt")
+
+
+@pytest.mark.parametrize("cut", [-1, -5, 4, 0])
+def test_tensor_file_payload_size_must_match_the_header(tmp_path, cut):
+    # A truncated payload (cut < 0, or a header alone) and trailing bytes (cut > 0)
+    # are both rejected, naming the file; an exact payload reads back.
+    p = tmp_path / "t.stpt"
+    arr = Rng(14).normal((3, 4, 5)).astype(np.float32)
+    write_tensor(p, arr)
+    raw = p.read_bytes()
+    header = 8 + 8 * 3
+    bad = tmp_path / "payload.stpt"
+    bad.write_bytes(raw[:header] if cut == 0 else raw[:cut] if cut < 0 else raw + bytes(cut))
+    with pytest.raises(InputError, match=r"payload size mismatch in .*payload\.stpt"):
+        read_tensor(bad)
+    np.testing.assert_array_equal(read_tensor(p), arr)
+
+
+@pytest.mark.parametrize("cut", [None, -1, 0, 4, "huge"])
+def test_tensor_file_reads_from_a_pipe(tmp_path, cut):
+    # A FIFO reports no size, so its payload is checked while it is read.
+    src = tmp_path / "t.stpt"
+    arr = Rng(15).normal((3, 4, 5)).astype(np.float64)
+    write_tensor(src, arr)
+    raw = src.read_bytes()
+    if cut == "huge":  # a claim of 4 TiB, followed by no payload
+        raw = b"STPT" + struct.pack("<HBBQ", 1, 0, 1, 2 ** 40)
+    elif cut is not None:
+        raw = raw[:8 + 8 * 3] if cut == 0 else raw[:cut] if cut < 0 else raw + bytes(cut)
+    fifo = tmp_path / "pipe.stpt"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(raw)
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        if cut is None:
+            back = read_tensor(fifo)
+            assert back.dtype == arr.dtype
+            np.testing.assert_array_equal(back, arr)
+        else:
+            with pytest.raises(InputError, match=r"pipe\.stpt"):
+                read_tensor(fifo)
+    finally:
+        writer.join()
+
+
+@pytest.mark.parametrize("offset,value,match", [(0, ord("X"), "bad magic"),
+                                                (4, 9, "version 9"),
+                                                (6, 7, "dtype code 7")])
+def test_tensor_file_header_errors_name_the_file(tmp_path, offset, value, match):
+    p = tmp_path / "header.stpt"
+    write_tensor(p, np.zeros((2, 3), dtype=np.float64))
+    raw = bytearray(p.read_bytes())
+    raw[offset] = value
+    p.write_bytes(bytes(raw))
+    with pytest.raises(InputError, match=match) as exc:
+        read_tensor(p)
+    assert "header.stpt" in str(exc.value)
+
+
+def test_tensor_file_truncated_header_names_the_file(tmp_path):
+    p = tmp_path / "header.stpt"
+    write_tensor(p, np.zeros((2, 3), dtype=np.float64))
+    p.write_bytes(p.read_bytes()[:8 + 12])  # one and a half dims
+    with pytest.raises(InputError, match="truncated header in .*header.stpt"):
+        read_tensor(p)
 
 
 @pytest.mark.parametrize("dims", [(2 ** 63, 2), (0, 2 ** 63), (0, 2 ** 62, 2 ** 62),
