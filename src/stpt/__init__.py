@@ -28,7 +28,7 @@ from .heads import (CoarsePrediction, DetectionCandidate, DetectionConfig,
                     refine_segment, write_candidates)
 from .losses import (LossBreakdown, LossConfig, MatchedTargets, combine_losses,
                      focal_loss, gradient_check_report, l1_offset_loss, loss_profile,
-                     match_anchors, quality_loss, segment_tiou, tiou_loss, total_loss)
+                     match_anchors, quality_loss, tiou_loss, total_loss)
 from .tensor import (ClipTensor, Conv3DWeights, LinearWeights, Rng, check_finite, conv3d,
                      finite_diff_grad, gelu, gradcheck, layer_norm, linear,
                      read_bundle, read_tensor, sigmoid, softmax, softplus,

@@ -28,7 +28,8 @@ import dataclasses
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import ClipTensor, Conv3DWeights, LinearWeights, linear, row_blocks, softmax
+from .tensor import (ClipTensor, Conv3DWeights, LinearWeights, conv3d, linear, row_blocks,
+                     softmax)
 
 Extents = tuple[int, int, int]
 
@@ -180,8 +181,6 @@ def merge_windows(windows: np.ndarray, rec: PartitionRecord) -> np.ndarray:
 
 def reduce_kv(kmap: ClipTensor, vmap: ClipTensor, spec: ReductionSpec) -> tuple[ClipTensor, ClipTensor]:
     """Reduce the K and V maps; output extents are ceil(extent / ratio)."""
-    from .tensor import conv3d
-
     return conv3d(kmap, spec.conv_k), conv3d(vmap, spec.conv_v)
 
 

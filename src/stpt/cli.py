@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from .backbone import backbone_forward, init_model_weights
 from .config import RunConfig, load_run_config, write_default_config
 from .costs import model_cost
-from .errors import InputError, StptError
+from .errors import ConfigError, InputError, StptError
 from .evaluation import (evaluate, oracle_predictions, read_ground_truth,
                          render_map_table, synth_dataset, write_ground_truth)
 from .heads import (build_pyramid, decode, init_head_weights, predict_coarse,
@@ -116,6 +117,8 @@ def cmd_forward(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if args.points < 1:
+        raise ConfigError(f"--points must be at least 1, got {args.points}")
     cfg = _load(args)
     report = gradient_check_report(seed=cfg.seed, points=args.points)
     failed = False
@@ -131,12 +134,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load(args)
     preds = read_candidates(args.preds, cfg.det.num_classes)
     gts = read_ground_truth(args.gts, cfg.det.num_classes)
+    if not gts:
+        raise InputError(f"eval: no ground-truth instance in {args.gts}")
     result = evaluate(preds, gts, cfg.eval_cfg, apply_nms=not args.skip_nms)
     print(render_map_table(result))
     return 0
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    for flag, value in (("--videos", args.videos), ("--instances", args.instances)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
+    if not 0 <= args.jitter < math.inf:  # also false for nan
+        raise ConfigError(f"--jitter must be finite and at least 0, got {args.jitter}")
     cfg = _load(args)
     rng = Rng(cfg.seed)
     gts = synth_dataset(rng.child("gts"), n_videos=args.videos,

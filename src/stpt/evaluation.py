@@ -1,4 +1,4 @@
-"""Soft-NMS, average precision, and the synthetic closure harness.
+"""tIoU (the package's only one), soft-NMS, average precision, synthetic closure.
 
 Matching and interpolation follow the usual temporal detection conventions:
 greedy score-ordered matching with each ground-truth instance usable once, and
@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from collections import defaultdict
+from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +22,16 @@ from .heads import (_RECORD_ERRORS, DetectionCandidate, _check_segment, _class_i
 from .tensor import Rng
 
 
-def tiou(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Temporal intersection over union of two [start, end) segments."""
-    inter = max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
-    union = (a[1] - a[0]) + (b[1] - b[0]) - inter
-    return inter / union if union > 0 else 0.0
+def _overlap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Intersection and union lengths of [start, end) segments in the last axis."""
+    inter = np.maximum(0.0, np.minimum(a[..., 1], b[..., 1]) - np.maximum(a[..., 0], b[..., 0]))
+    return inter, (a[..., 1] - a[..., 0]) + (b[..., 1] - b[..., 0]) - inter
+
+
+def tiou(a, b) -> np.ndarray:
+    """Temporal IoU of broadcast (..., 2) segment arrays: inter / union, 0 if union <= 0."""
+    inter, union = _overlap(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    return np.divide(inter, union, out=np.zeros(np.shape(inter)), where=union > 0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,25 +82,28 @@ def soft_nms(cands: list[DetectionCandidate], mode: str = "linear",
     Linear mode decays s <- s * (1 - tIoU) when tIoU exceeds the threshold;
     gaussian mode decays every remaining candidate by exp(-tIoU^2 / sigma).
     All candidates are returned, rescored, in selection (descending) order.
-    Ties on score break toward the earlier t_start, then input order.
+    Ties on score break toward the earlier t_start, then input order: rows are
+    kept in (t_start, input) order, so the first maximum score is the pick.
     """
     if mode not in ("linear", "gaussian"):
         raise ConfigError(f"soft_nms mode must be linear or gaussian, got {mode!r}")
-    scores = np.array([c.score for c in cands], dtype=np.float64)
+    cands = sorted(cands, key=lambda c: c.t_start)
+    rows = np.array([(c.t_start, c.t_end, c.score) for c in cands], dtype=np.float64)
     alive = list(range(len(cands)))
     out = []
     while alive:
-        best = min(alive, key=lambda i: (-scores[i], cands[i].t_start, i))
-        alive.remove(best)
-        out.append(dataclasses.replace(cands[best], score=float(scores[best])))
-        seg_b = (cands[best].t_start, cands[best].t_end)
-        for i in alive:
-            ov = tiou((cands[i].t_start, cands[i].t_end), seg_b)
-            if mode == "linear":
-                if ov > threshold:
-                    scores[i] *= 1.0 - ov
-            else:
-                scores[i] *= np.exp(-(ov ** 2) / sigma)
+        scores = rows[:, 2].tolist()
+        k = max(alive, key=scores.__getitem__)
+        alive.remove(k)
+        out.append(dataclasses.replace(cands[k], score=scores[k]))
+        if not alive:
+            break
+        # Every row is decayed, so all arrays keep one size; picked rows are not read again.
+        ov = tiou(rows[:, :2], rows[k, :2])
+        if mode == "linear":
+            rows[:, 2] = np.where(ov > threshold, rows[:, 2] * (1.0 - ov), rows[:, 2])
+        else:
+            rows[:, 2] *= np.exp(-(ov ** 2) / sigma)
     return out
 
 
@@ -105,42 +114,39 @@ def average_precision(preds: list[tuple[str, float, float, float]],
 
     Predictions are visited by descending score (earlier start, then input
     order on ties); each matches the highest-tIoU unmatched instance in its
-    video and counts as a true positive when that tIoU reaches the threshold.
+    video (the earliest on ties) and counts as a true positive when that tIoU
+    reaches the threshold, so only the pairs that reach it take part.
     """
     if not gts:
         raise ConfigError("average_precision needs at least one ground-truth instance")
     if not preds:
         return 0.0
     order = sorted(range(len(preds)), key=lambda i: (-preds[i][3], preds[i][1], i))
+    vids, starts, ends, _ = zip(*preds)
+    _, gt_starts, gt_ends = zip(*gts)
     gt_by_video: dict[str, list[int]] = defaultdict(list)
     for j, g in enumerate(gts):
         gt_by_video[g[0]].append(j)
-    used = np.zeros(len(gts), dtype=bool)
-    tp = np.zeros(len(preds))
-    fp = np.zeros(len(preds))
-    for rank, i in enumerate(order):
-        vid, ps, pe, _ = preds[i]
-        best_j, best_ov = -1, 0.0
-        for j in gt_by_video.get(vid, ()):
-            if used[j]:
-                continue
-            ov = tiou((ps, pe), (gts[j][1], gts[j][2]))
-            if ov > best_ov:
-                best_ov, best_j = ov, j
-        if best_j >= 0 and best_ov >= threshold:
-            used[best_j] = True
-            tp[rank] = 1
-        else:
-            fp[rank] = 1
+    # One row per (rank, instance of the prediction's video), instances in input order.
+    runs = [gt_by_video.get(vids[i], ()) for i in order]
+    rank = np.repeat(np.arange(len(preds)), [len(run) for run in runs])
+    gt = np.fromiter(chain.from_iterable(runs), np.intp, len(rank))
+    ov = tiou(np.array((starts, ends)).T[np.array(order)[rank]],
+              np.array((gt_starts, gt_ends)).T[gt])
+    # Greedy over (rank, -tIoU, instance); a match also needs a positive overlap.
+    hit = np.flatnonzero(ov >= threshold)
+    tp = [0.0] * len(preds)
+    used: set[int] = set()
+    for r, _, j in sorted((r, -o, j) for r, o, j in zip(rank[hit].tolist(), ov[hit].tolist(),
+                                                        gt[hit].tolist()) if o > 0):
+        if not tp[r] and j not in used:
+            used.add(j)
+            tp[r] = 1.0
     tp_cum = np.cumsum(tp)
-    fp_cum = np.cumsum(fp)
-    rec = tp_cum / len(gts)
-    prec = tp_cum / np.maximum(tp_cum + fp_cum, 1e-12)
-    mrec = np.hstack([[0.0], rec, [1.0]])
-    mprec = np.hstack([[0.0], prec, [0.0]])
-    for i in range(len(mprec) - 2, -1, -1):
-        mprec[i] = max(mprec[i], mprec[i + 1])
-    idx = np.where(mrec[1:] != mrec[:-1])[0] + 1
+    prec = tp_cum / np.arange(1.0, len(preds) + 1)
+    mrec = np.hstack([[0.0], tp_cum / len(gts), [1.0]])
+    mprec = np.maximum.accumulate(np.hstack([[0.0], prec, [0.0]])[::-1])[::-1]
+    idx = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
     return float(np.sum((mrec[idx] - mrec[idx - 1]) * mprec[idx]))
 
 
@@ -161,18 +167,17 @@ def evaluate(preds: list[DetectionCandidate], gts: list[GroundTruthInstance],
     reported. Results do not depend on the input ordering of predictions:
     groups are merged in sorted key order.
     """
-    groups: dict[tuple[str, int], list[DetectionCandidate]] = defaultdict(list)
-    for c in preds:
-        groups[(c.video_id, c.class_id)].append(c)
-    by_video: dict[str, list[DetectionCandidate]] = defaultdict(list)
-    for (vid, _), cs in sorted(groups.items()):
-        if apply_nms:
-            cs = soft_nms(cs, mode=cfg.nms_mode, threshold=cfg.nms_threshold,
-                          sigma=cfg.nms_sigma)
-        by_video[vid].extend(cs)
     surviving: list[DetectionCandidate] = []
-    for vid in sorted(by_video):
-        cs = sorted(by_video[vid], key=lambda c: (-c.score, c.t_start, c.class_id))
+    # Groups in sorted (video, class) order, input order within a group (the sort is
+    # stable). Top-k runs as soon as a video is rescored, so the candidates it drops
+    # are freed before the next video's soft-NMS allocates.
+    for _, video in groupby(sorted(preds, key=lambda c: (c.video_id, c.class_id)),
+                            key=lambda c: c.video_id):
+        cs: list[DetectionCandidate] = []
+        for _, group in groupby(video, key=lambda c: c.class_id):
+            cs.extend(soft_nms(list(group), mode=cfg.nms_mode, threshold=cfg.nms_threshold,
+                               sigma=cfg.nms_sigma) if apply_nms else group)
+        cs.sort(key=lambda c: (-c.score, c.t_start, c.class_id))
         surviving.extend(cs[:cfg.top_k])
 
     gt_classes = sorted({g.class_id for g in gts})

@@ -2,7 +2,8 @@
 
 Every loss returns (value, gradient) where the gradient is with respect to the
 first argument (logits or segment coordinates), so central finite differences
-can check each term directly. Values and gradients are computed in f64.
+can check each term directly. Values and gradients are computed in f64, and
+every segment overlap comes from the package's one tIoU, `evaluation.tiou`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import dataclasses
 import numpy as np
 
 from .errors import ConfigError, NumericError
+from .evaluation import _overlap, tiou
 from .tensor import Rng, gradcheck, sigmoid
 
 
@@ -69,11 +71,9 @@ def tiou_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     st, et = t[:, 0], t[:, 1]
     if (e <= s).any() or (et <= st).any():
         raise ConfigError("tiou_loss requires start < end on both sides")
-    inter = np.maximum(0.0, np.minimum(e, et) - np.maximum(s, st))
-    union = (e - s) + (et - st) - inter
-    iou = inter / union
+    inter, union = _overlap(p, t)
     n = p.shape[0]
-    loss = float((1.0 - iou).mean())
+    loss = float((1.0 - tiou(p, t)).mean())
     # dI/ds is -1 where the prediction's start is the binding one, dI/de is +1
     # where its end is; outside any overlap the loss is locally flat.
     overlap = inter > 0
@@ -119,15 +119,6 @@ def combine_losses(cls_loss: float, loc_loss: float, q_loss: float, cfg: LossCon
     return cfg.lambda_cls * cls_loss + cfg.lambda_loc * loc_loss + cfg.lambda_q * q_loss
 
 
-def segment_tiou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise tIoU between (n, 2) segment arrays."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    inter = np.maximum(0.0, np.minimum(a[..., 1], b[..., 1]) - np.maximum(a[..., 0], b[..., 0]))
-    union = (a[..., 1] - a[..., 0]) + (b[..., 1] - b[..., 0]) - inter
-    return np.where(union > 0, inter / np.maximum(union, 1e-12), 0.0)
-
-
 @dataclasses.dataclass(frozen=True)
 class MatchedTargets:
     matched: np.ndarray      # (n,) bool
@@ -142,24 +133,16 @@ def match_anchors(anchor_times: np.ndarray, cell_spans: np.ndarray,
     Among containing instances, the one with the highest tIoU against the
     anchor's one-stride cell wins; ties go to the earliest instance index.
     """
-    n = len(anchor_times)
-    matched = np.zeros(n, dtype=bool)
-    class_ids = np.full(n, -1, dtype=int)
-    segments = np.zeros((n, 2), dtype=np.float64)
-    if len(gt_segments) == 0:
-        return MatchedTargets(matched, class_ids, segments)
-    gt_segments = np.asarray(gt_segments, dtype=np.float64)
-    for i, s in enumerate(anchor_times):
-        inside = (gt_segments[:, 0] <= s) & (s < gt_segments[:, 1])
-        if not inside.any():
-            continue
-        ious = segment_tiou(np.broadcast_to(cell_spans[i], gt_segments.shape), gt_segments)
-        ious = np.where(inside, ious, -1.0)
-        j = int(np.argmax(ious))  # argmax takes the earliest index on ties
-        matched[i] = True
-        class_ids[i] = int(gt_classes[j])
-        segments[i] = gt_segments[j]
-    return MatchedTargets(matched, class_ids, segments)
+    t = np.asarray(anchor_times, dtype=np.float64)[:, None]
+    gt = np.asarray(gt_segments, dtype=np.float64).reshape(-1, 2)
+    inside = (gt[:, 0] <= t) & (t < gt[:, 1])  # (anchors, instances)
+    matched = inside.any(axis=1)
+    if not matched.any():
+        return MatchedTargets(matched, np.full(len(t), -1), np.zeros((len(t), 2)))
+    # argmax takes the earliest index on ties
+    j = np.where(inside, tiou(np.asarray(cell_spans)[:, None, :], gt), -1.0).argmax(axis=1)
+    return MatchedTargets(matched, np.where(matched, np.asarray(gt_classes)[j], -1),
+                          np.where(matched[:, None], gt[j], 0.0))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -201,7 +184,7 @@ def total_loss(coarse_cls: np.ndarray, coarse_seg: np.ndarray, refined_cls: np.n
             seg_p[:, 0] + half * refined_off[pos][:, 0],
             seg_p[:, 1] + half * refined_off[pos][:, 1],
         ], axis=1)
-        q_target = np.clip(segment_tiou(refined_seg, seg_t), 0.0, 1.0)
+        q_target = tiou(refined_seg, seg_t)
         q_l, _ = quality_loss(quality_logits[pos], q_target, cfg.clamp_eps)
     else:
         tiou_l = l1_l = q_l = 0.0

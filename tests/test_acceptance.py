@@ -23,8 +23,7 @@ from stpt.attention import AttentionParams, ReductionSpec, WindowSpec, gsta_forw
 from stpt.backbone import default_config
 from stpt.cli import main
 from stpt.costs import model_cost
-from stpt.evaluation import (eval_profile, evaluate, oracle_predictions, soft_nms,
-                             synth_dataset, tiou)
+from stpt.evaluation import eval_profile, evaluate, oracle_predictions, soft_nms, synth_dataset
 from stpt.heads import DetectionCandidate, DetectionConfig, combine_scores, refine_segment
 from stpt.losses import gradient_check_report
 from stpt.tensor import ClipTensor, Conv3DWeights, LinearWeights, Rng
@@ -215,6 +214,12 @@ def test_criterion_07_pipeline_closure(criterion):
                      " 10% jitter strictly below 1.0 on 30 seeds")
 
 
+def _pair_tiou(a, b):
+    inter = max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
+    union = (a[1] - a[0]) + (b[1] - b[0]) - inter
+    return inter / union if union > 0 else 0.0
+
+
 def _brute_force_soft_nms(cands, mode, threshold, sigma):
     scores = [float(c.score) for c in cands]
     alive = list(range(len(cands)))
@@ -230,8 +235,8 @@ def _brute_force_soft_nms(cands, mode, threshold, sigma):
         alive.remove(best)
         picked.append((best, scores[best]))
         for i in alive:
-            ov = tiou((cands[i].t_start, cands[i].t_end),
-                      (cands[best].t_start, cands[best].t_end))
+            ov = _pair_tiou((cands[i].t_start, cands[i].t_end),
+                            (cands[best].t_start, cands[best].t_end))
             if mode == "linear":
                 if ov > threshold:
                     scores[i] = scores[i] * (1.0 - ov)

@@ -247,6 +247,34 @@ def test_gradcheck_passes(capsys):
     assert out.count("PASS") == 4 and "FAIL" not in out
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_gradcheck_points_below_one_exit_2(capsys, points):
+    assert main(["gradcheck", "--points", points]) == 2
+    captured = capsys.readouterr()
+    assert "--points" in captured.err and "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("flag,value", [("--videos", "-2"), ("--videos", "0"),
+                                        ("--instances", "0"), ("--jitter", "-0.3"),
+                                        ("--jitter", "nan"), ("--jitter", "inf")])
+def test_synth_bad_argument_exit_2(tmp_path, capsys, flag, value):
+    assert main(["synth", "--config", _toy_ini(tmp_path), flag, value]) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_empty_ground_truth_exit_3(tmp_path, capsys):
+    ini = _toy_ini(tmp_path)
+    assert main(["synth", "--config", ini]) == 0
+    capsys.readouterr()
+    gts = tmp_path / "empty.jsonl"
+    gts.write_text("\n")
+    assert main(["eval", "--config", ini, "--preds", str(tmp_path / "out" / "preds.jsonl"),
+                 "--gts", str(gts)]) == 3
+    captured = capsys.readouterr()
+    assert str(gts) in captured.err and captured.out == ""
+
+
 def test_synth_then_eval_closure(tmp_path, capsys):
     ini = _toy_ini(tmp_path)
     assert main(["synth", "--config", ini, "--videos", "3", "--instances", "4"]) == 0

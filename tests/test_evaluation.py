@@ -20,12 +20,56 @@ def _cand(ts, te, score, cls=0, vid="v", pos=0):
                               level=0, position=pos, video_id=vid)
 
 
+def _scalar_tiou(a, b):
+    # The oracle: one pair of [start, end) segments in plain Python floats.
+    inter = max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
+    union = (a[1] - a[0]) + (b[1] - b[0]) - inter
+    return inter / union if union > 0 else 0.0
+
+
+_TIOU_CASES = [
+    ((0.0, 2.0), (0.0, 2.0), 1.0),
+    ((0.0, 1.0), (2.0, 3.0), 0.0),
+    ((0.0, 2.0), (1.0, 3.0), 1.0 / 3.0),
+    ((1.0, 3.0), (0.0, 2.0), 1.0 / 3.0),
+    ((1.0, 1.0), (1.0, 1.0), 0.0),  # degenerate, empty union
+]
+
+
 def test_tiou_basic():
-    assert tiou((0.0, 2.0), (0.0, 2.0)) == 1.0
-    assert tiou((0.0, 1.0), (2.0, 3.0)) == 0.0
-    assert tiou((0.0, 2.0), (1.0, 3.0)) == pytest.approx(1.0 / 3.0)
-    assert tiou((1.0, 3.0), (0.0, 2.0)) == pytest.approx(1.0 / 3.0)
-    assert tiou((1.0, 1.0), (1.0, 1.0)) == 0.0  # degenerate, empty union
+    for a, b, want in _TIOU_CASES:
+        assert _scalar_tiou(a, b) == pytest.approx(want, rel=1e-15)
+    got = tiou([a for a, _, _ in _TIOU_CASES], [b for _, b, _ in _TIOU_CASES])
+    np.testing.assert_array_equal(got, [_scalar_tiou(a, b) for a, b, _ in _TIOU_CASES])
+
+
+def test_tiou_properties():
+    a = np.array([[0.0, 2.0], [0.0, 1.0], [0.0, 4.0]])
+    b = np.array([[0.0, 2.0], [2.0, 3.0], [2.0, 4.0]])
+    got = tiou(a, b)
+    np.testing.assert_allclose(got, [1.0, 0.0, 0.5])
+    # Symmetry.
+    np.testing.assert_allclose(tiou(b, a), got)
+
+
+def test_tiou_tiny_and_empty_segments():
+    # Coincident segments 4e-13 long are a perfect match, however short.
+    assert tiou((1.0, 1.0 + 4e-13), (1.0, 1.0 + 4e-13)) == 1.0
+    assert tiou((0.0, 4e-13), (0.0, 4e-13)) == 1.0
+    # An empty or inverted union scores 0, without a division warning.
+    with np.errstate(all="raise"):
+        np.testing.assert_array_equal(tiou([[1.0, 1.0], [3.0, 1.0]], [[1.0, 1.0], [3.0, 2.0]]),
+                                      [0.0, 0.0])
+
+
+def test_tiou_matches_scalar_oracle_and_broadcasts():
+    rng = Rng(17)
+    a = np.sort(rng.child("a").uniform((40, 2), 0.0, 10.0), axis=1)
+    b = np.sort(rng.child("b").uniform((25, 2), 0.0, 10.0), axis=1)
+    got = tiou(a[:, None, :], b[None, :, :])
+    assert got.shape == (40, 25)
+    want = [[_scalar_tiou(x, y) for y in b.tolist()] for x in a.tolist()]
+    np.testing.assert_array_equal(got, want)
 
 
 def _naive_soft_nms(cands, mode, threshold, sigma):
@@ -45,8 +89,8 @@ def _naive_soft_nms(cands, mode, threshold, sigma):
         alive.remove(best)
         picked.append((best, scores[best]))
         for i in alive:
-            ov = tiou((cands[i].t_start, cands[i].t_end),
-                      (cands[best].t_start, cands[best].t_end))
+            ov = _scalar_tiou((cands[i].t_start, cands[i].t_end),
+                              (cands[best].t_start, cands[best].t_end))
             if mode == "linear":
                 if ov > threshold:
                     scores[i] = scores[i] * (1.0 - ov)
@@ -71,6 +115,27 @@ def test_soft_nms_matches_naive(mode, seed):
     assert [c.position for c in got] == [i for i, _ in want]
     np.testing.assert_allclose([c.score for c in got], [s for _, s in want],
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["linear", "gaussian"])
+@pytest.mark.parametrize("n", [50, 200])
+def test_soft_nms_matches_naive_large_groups_with_ties(mode, n):
+    rng = Rng(1000 + n)
+    cands = []
+    for i in range(n):
+        t0 = round(float(rng.child(f"t{i}").uniform((), 0.0, 40.0)), 1)
+        ln = float(rng.child(f"l{i}").uniform((), 2.0, 12.0))
+        sc = round(float(rng.child(f"s{i}").uniform((), 0.05, 1.0)), 1)  # many ties
+        cands.append(_cand(t0, t0 + ln, sc, pos=i))
+    cands[7] = _cand(cands[3].t_start, cands[3].t_end, cands[3].score, pos=7)  # full tie
+    got = soft_nms(cands, mode=mode, threshold=0.4, sigma=0.6)
+    want = _naive_soft_nms(cands, mode, 0.4, 0.6)
+    assert [c.position for c in got] == [i for i, _ in want]
+    if mode == "linear":
+        assert [c.score for c in got] == [s for _, s in want]
+    else:
+        np.testing.assert_allclose([c.score for c in got], [s for _, s in want],
+                                   rtol=0, atol=1e-12)
 
 
 def test_soft_nms_linear_threshold_gate():
@@ -149,11 +214,70 @@ def test_average_precision_threshold_and_video_scoping():
     assert average_precision([("b", 0.0, 2.0, 0.9)], gt, 0.5) == 0.0
 
 
+def _scalar_average_precision(preds, gts, threshold):
+    # The oracle: greedy matching pair by pair, then the envelope by a loop.
+    order = sorted(range(len(preds)), key=lambda i: (-preds[i][3], preds[i][1], i))
+    used = set()
+    tp = []
+    for i in order:
+        vid, ps, pe, _ = preds[i]
+        best_j, best_ov = -1, 0.0
+        for j, (gvid, gs, ge) in enumerate(gts):
+            if gvid == vid and j not in used:
+                ov = _scalar_tiou((ps, pe), (gs, ge))
+                if ov > best_ov:
+                    best_ov, best_j = ov, j
+        hit = best_j >= 0 and best_ov >= threshold
+        if hit:
+            used.add(best_j)
+        tp.append(1.0 if hit else 0.0)
+    tp_cum = np.cumsum(tp)
+    rec = tp_cum / len(gts)
+    prec = tp_cum / np.arange(1, len(tp) + 1)
+    mrec = [0.0] + rec.tolist() + [1.0]
+    mprec = [0.0] + prec.tolist() + [0.0]
+    for i in range(len(mprec) - 2, -1, -1):
+        mprec[i] = max(mprec[i], mprec[i + 1])
+    idx = [i for i in range(1, len(mrec)) if mrec[i] != mrec[i - 1]]
+    return float(np.sum([(mrec[i] - mrec[i - 1]) * mprec[i] for i in idx]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_average_precision_matches_scalar_greedy(seed):
+    # Times on a 0.5 grid give exact tIoU ties between instances and tIoUs
+    # exactly at a threshold (0.5, 0.6, 0.75, ...); scores on a 0.1 grid tie.
+    rng = Rng(300 + seed)
+
+    def grid(name, lo, hi):
+        return 0.5 * int(rng.child(name).integers(lo, hi))
+
+    gts, preds = [], []
+    for v in range(6):
+        vid = f"v{v}"
+        for i in range(int(rng.child(f"n{v}").integers(2, 7))):
+            gs = grid(f"g{v}.{i}", 0, 30)
+            gts.append((vid, gs, gs + grid(f"gl{v}.{i}", 1, 9)))
+        for i in range(14):
+            ps = grid(f"p{v}.{i}", 0, 32)
+            sc = round(float(rng.child(f"ps{v}.{i}").uniform((), 0.0, 1.0)), 1)
+            preds.append((vid, ps, ps + grid(f"pl{v}.{i}", 1, 10), sc))
+    preds.append(("no-gt-video", 0.0, 5.0, 0.95))
+    preds += [preds[0], preds[5]]  # exact duplicates compete for one instance
+    for profile in ("thumos", "anet"):
+        for thr in (0.0,) + eval_profile(profile).thresholds:
+            assert average_precision(preds, gts, thr) == \
+                _scalar_average_precision(preds, gts, thr), (profile, thr)
+
+
 def test_average_precision_matches_best_overlap():
     gts = [("v", 0.0, 4.0), ("v", 3.0, 5.0)]
     # The prediction overlaps both; it must consume the higher-tIoU instance.
     preds = [("v", 2.9, 5.1, 0.9), ("v", 0.0, 4.0, 0.8)]
     assert average_precision(preds, gts, 0.5) == 1.0
+    # Equal tIoU (1/3) with two instances: the earlier instance is consumed,
+    # so the second prediction finds its exact match taken.
+    preds = [("v", 1.0, 3.0, 0.9), ("v", 0.0, 2.0, 0.8)]
+    assert average_precision(preds, [("v", 0.0, 2.0), ("v", 2.0, 4.0)], 0.3) == 0.5
 
 
 def test_eval_profiles():

@@ -8,7 +8,7 @@ import pytest
 from stpt.errors import ConfigError
 from stpt.losses import (LossConfig, combine_losses, focal_loss, gradient_check_report,
                          l1_offset_loss, loss_profile, match_anchors, quality_loss,
-                         segment_tiou, tiou_loss, total_loss)
+                         tiou_loss, total_loss)
 from stpt.tensor import Rng, finite_diff_grad
 
 
@@ -92,15 +92,6 @@ def test_profiles_and_combination():
     assert combine_losses(1.0, 1.0, 1.0, anet) == 3.0
     with pytest.raises(ConfigError):
         loss_profile("kinetics")
-
-
-def test_segment_tiou_properties():
-    a = np.array([[0.0, 2.0], [0.0, 1.0], [0.0, 4.0]])
-    b = np.array([[0.0, 2.0], [2.0, 3.0], [2.0, 4.0]])
-    got = segment_tiou(a, b)
-    np.testing.assert_allclose(got, [1.0, 0.0, 0.5])
-    # Symmetry.
-    np.testing.assert_allclose(segment_tiou(b, a), got)
 
 
 def test_match_anchors_containment():
