@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .heads import (_RECORD_ERRORS, DetectionCandidate, _check_segment, _class_id, _number,
-                    _text)
+from .heads import (_RECORD_ERRORS, DetectionCandidate, _check_segment, _class_id,
+                    _json_records, _number, _text)
 from .tensor import Rng
 
 
@@ -259,15 +259,8 @@ def write_ground_truth(path: str | Path, gts: list[GroundTruthInstance]) -> None
 def read_ground_truth(path: str | Path, num_classes: int) -> list[GroundTruthInstance]:
     """Read write_ground_truth output; class ids must lie in [0, num_classes)."""
     out = []
-    try:
-        lines = Path(path).read_text().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"read_ground_truth: cannot read {path}: {exc}") from exc
-    for ln, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
+    for ln, d in _json_records(path, "read_ground_truth"):
         try:
-            d = json.loads(line)
             gt = GroundTruthInstance(video_id=_text(d["video_id"], "video_id"),
                                      t_start=_number(d["t_start"], "t_start"),
                                      t_end=_number(d["t_end"], "t_end"),

@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -324,24 +325,41 @@ def _class_id(value: object, num_classes: int) -> int:
     return value
 
 
-# A bad record raises one of these while it is parsed (TypeError: a line that is
-# not a JSON object, or a null field); the readers turn it into an InputError
-# naming the file and line.
-_RECORD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+# A bad record raises one of these while it is parsed (OverflowError: an integer
+# too large for a float); the readers turn it into an InputError naming the file
+# and line.
+_RECORD_ERRORS = (KeyError, ValueError, OverflowError)
+
+
+def _json_records(path: str | Path, reader: str) -> Iterator[tuple[int, dict]]:
+    """Stream (line number, JSON object) over the non-blank lines of a UTF-8 file.
+
+    Lines end only at \\n, \\r\\n or \\r (not at every str.splitlines boundary),
+    so a raw U+2028, U+2029 or U+0085 inside a JSON string stays in its record.
+    An unreadable file, or a line that is not one JSON object, is an InputError
+    from `reader` naming the file (and line).
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for ln, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                    if type(record) is not dict:
+                        raise ValueError(f"{type(record).__name__} is not a JSON object")
+                except ValueError as exc:
+                    raise InputError(f"{reader}: bad record at {path}:{ln}: {exc}") from exc
+                yield ln, record
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{reader}: cannot read {path}: {exc}") from exc
 
 
 def read_candidates(path: str | Path, num_classes: int) -> list[DetectionCandidate]:
     """Read write_candidates output; class ids must lie in [0, num_classes)."""
     out = []
-    try:
-        lines = Path(path).read_text().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"read_candidates: cannot read {path}: {exc}") from exc
-    for ln, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
+    for ln, d in _json_records(path, "read_candidates"):
         try:
-            d = json.loads(line)
             cand = DetectionCandidate(
                 t_start=_number(d["t_start"], "t_start"), t_end=_number(d["t_end"], "t_end"),
                 class_id=_class_id(d["class_id"], num_classes),

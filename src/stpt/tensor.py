@@ -15,6 +15,10 @@ Kernels do not check their outputs. A non-finite value carries through every
 later kernel (matmul, conv, the layer-norm mean, the softmax row max,
 GELU(-inf) = NaN), so callers run `check_finite` once per boundary instead: the
 backbone input, each block output, and each pyramid level's head outputs.
+
+scipy is imported lazily, inside the three functions that call it (`gelu`'s
+`erf`, and `ndtr`/`ndtri` for the normal inverse CDF in `Rng`), so a command
+that calls none of them, such as `stpt eval`, never loads it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, InputError, NumericError
 
@@ -180,6 +183,8 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """Exact erf form: 0.5 * x * (1 + erf(x / sqrt(2))), on one output buffer."""
+    from scipy import special
+
     y = np.divide(x, math.sqrt(2.0), out=np.empty_like(x))
     special.erf(y, out=y)
     y += 1.0
@@ -341,6 +346,8 @@ _TN_CHUNK = 1 << 14
 @functools.cache
 def _truncated_normal_table() -> tuple[np.ndarray, np.ndarray]:
     """(grid[:-1], diff(grid)), grid = ndtri at 2**16 + 1 even steps over [ndtr(-2), ndtr(2)]."""
+    from scipy import special
+
     lo, hi = special.ndtr(-2.0), special.ndtr(2.0)
     grid = special.ndtri(lo + (hi - lo) * (np.arange(_TN_STEPS + 1) / _TN_STEPS))
     grid[0], grid[-1] = -2.0, 2.0  # ndtri(ndtr(+-2)) misses +-2 by an ulp
@@ -385,6 +392,8 @@ class Rng:
         return low + (high - low) * self._gen.random(shape)
 
     def normal(self, shape=(), mean: float = 0.0, std: float = 1.0) -> np.ndarray:
+        from scipy import special
+
         u = self._gen.random(shape)
         # Clip away exact 0/1 so ndtri stays finite; probability ~2^-53 anyway.
         u = np.clip(u, 1e-12, 1.0 - 1e-12)
@@ -512,15 +521,34 @@ def write_bundle(dirpath: str | Path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def read_bundle(dirpath: str | Path) -> dict[str, np.ndarray]:
+    """Read the tensors of a write_bundle directory, by name.
+
+    manifest.json must be a JSON object of entry objects, each with a `file`
+    that is a plain name inside the directory and `dims` that are a list of
+    integers >= 0 matching the tensor file; anything else is an InputError
+    naming the manifest.
+    """
     dirpath = Path(dirpath)
+    where = dirpath / "manifest.json"
     try:
-        manifest = json.loads((dirpath / "manifest.json").read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"read_bundle: cannot read manifest in {dirpath}: {exc}") from exc
+        manifest = json.loads(where.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
+        raise InputError(f"read_bundle: cannot read {where}: {exc}") from exc
+    if type(manifest) is not dict:
+        raise InputError(f"read_bundle: {where} is not a JSON object")
     out = {}
     for name, entry in manifest.items():
-        arr = read_tensor(dirpath / entry["file"])
-        if list(arr.shape) != entry["dims"]:
-            raise InputError(f"read_bundle: dims mismatch for {name}")
+        if type(entry) is not dict:
+            raise InputError(f"read_bundle: entry {name!r} in {where} is not a JSON object")
+        fname, dims = entry.get("file"), entry.get("dims")
+        if type(fname) is not str or fname in ("", "..") or "\0" in fname or Path(fname).name != fname:
+            raise InputError(f"read_bundle: entry {name!r} in {where}: file {fname!r} is not a "
+                             "plain name inside the bundle")
+        if type(dims) is not list or not all(type(d) is int and d >= 0 for d in dims):
+            raise InputError(f"read_bundle: entry {name!r} in {where}: dims {dims!r} are not a "
+                             "list of integers >= 0")
+        arr = read_tensor(dirpath / fname)
+        if list(arr.shape) != dims:
+            raise InputError(f"read_bundle: dims mismatch for {name!r} in {where}")
         out[name] = arr
     return out

@@ -29,6 +29,14 @@ def _clean_env(monkeypatch):
     monkeypatch.delenv("STPT_SEED", raising=False)
 
 
+def _src_env() -> dict[str, str]:
+    """The environment, with the imported package's directory first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(stpt.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    return env
+
+
 def _toy_ini(tmp_path, extra="", outdir="out"):
     path = tmp_path / "run.ini"
     path.write_text(f"[model]\npreset = toy\n[io]\noutput_dir = {tmp_path / outdir}\n{extra}")
@@ -171,9 +179,7 @@ def test_forward_overflowing_input_exit_4(tmp_path, capsys):
 def test_forward_overflowing_input_prints_only_the_error(tmp_path):
     # pytest captures warnings in-process, so only a child process shows that no
     # numpy warning (or numpy source line) reaches stderr before the error.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(stpt.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    env = _src_env()
     env.pop("PYTHONWARNINGS", None)
     proc = subprocess.run([sys.executable, "-m", "stpt.cli", "forward", "--config",
                            _overflowing_input_ini(tmp_path)],
@@ -303,6 +309,36 @@ def test_init_config_roundtrip(tmp_path, capsys):
     assert main(["describe", "--config", str(path)]) == 0
 
 
+def _scipy_modules_after(*argvs: list[str]) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running `stpt` on each argv."""
+    probe = ("import json, sys\n"
+             "import stpt, stpt.cli\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    assert stpt.cli.main(argv) == 0, argv\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)],
+                          capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_eval_flops_describe_and_init_config_leave_scipy_unloaded(tmp_path):
+    # Importing scipy is most of a command's start-up, and only GELU's erf and
+    # the normal inverse CDF need it.
+    ini = _toy_ini(tmp_path)
+    synth = subprocess.run([sys.executable, "-m", "stpt.cli", "synth", "--config", ini],
+                           capture_output=True, text=True, env=_src_env())
+    assert synth.returncode == 0, synth.stderr
+    out = tmp_path / "out"
+    assert _scipy_modules_after(
+        ["eval", "--config", ini, "--preds", str(out / "preds.jsonl"),
+         "--gts", str(out / "gts.jsonl")],
+        ["flops", "--config", ini], ["describe", "--config", ini],
+        ["init-config", str(tmp_path / "defaults.ini")]) == []
+    # The probe sees scipy where it is used, so the empty list above is no accident.
+    assert "scipy.special" in _scipy_modules_after(["forward", "--config", ini])
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
@@ -329,12 +365,8 @@ def test_console_script_is_installed(tmp_path):
     module, func = _declared_entry_point()
     wrapper = (f"import sys\nfrom {module} import {func}\n"
                f"sys.argv[0] = 'stpt'\nsys.exit({func}())")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(stpt.__file__).resolve().parents[1]),
-                      env.get("PYTHONPATH")]))
     runs.append(subprocess.run([sys.executable, "-c", wrapper, *args],
-                               capture_output=True, text=True, env=env))
+                               capture_output=True, text=True, env=_src_env()))
     for proc in runs:
         assert proc.returncode == 0, proc.stderr
         assert "anchors: 17" in proc.stdout

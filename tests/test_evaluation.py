@@ -1,5 +1,6 @@
 """Soft suppression, AP, and the synthetic closure loop."""
 
+import json
 import math
 import re
 
@@ -11,7 +12,7 @@ from stpt.evaluation import (EvalConfig, GroundTruthInstance, average_precision,
                              eval_profile, evaluate, oracle_predictions,
                              read_ground_truth, render_map_table, soft_nms,
                              synth_dataset, tiou, write_ground_truth)
-from stpt.heads import DetectionCandidate
+from stpt.heads import DetectionCandidate, read_candidates
 from stpt.tensor import Rng
 
 
@@ -435,3 +436,24 @@ def test_read_ground_truth_takes_integer_times_as_floats(tmp_path):
     (gt,) = read_ground_truth(path, 20)
     assert (gt.video_id, gt.t_start, gt.t_end, gt.class_id) == ("v", 0.0, 3.0, 2)
     assert type(gt.t_start) is float and type(gt.t_end) is float
+
+
+READERS = [(read_candidates, {"video_id": "v", "t_start": 0.0, "t_end": 1.0, "class_id": 2,
+                              "score": 0.5}),
+           (read_ground_truth, {"video_id": "v", "t_start": 0.0, "t_end": 1.0, "class_id": 2})]
+
+
+@pytest.mark.parametrize("read,good", READERS)
+def test_readers_keep_unicode_line_separators_inside_a_record(tmp_path, read, good):
+    # JSON allows U+2028, U+2029 and U+0085 raw inside strings; str.splitlines
+    # would cut such a record in two, while the readers split at \n, \r\n or \r.
+    odd = json.dumps(dict(good, video_id="a\u2028b\u2029c\x85d"), ensure_ascii=False)
+    assert "\u2028" in odd
+    path = tmp_path / "records.jsonl"
+    path.write_text(odd + "\n" + json.dumps(good) + "\n", encoding="utf-8")
+    first, second = read(path, 20)
+    assert first.video_id == "a\u2028b\u2029c\x85d" and second.video_id == "v"
+    bad = json.dumps(dict(good, class_id=20))
+    path.write_bytes((odd + "\r\n\n" + odd + "\r\n" + bad + "\n").encode("utf-8"))
+    with pytest.raises(InputError, match=re.escape(f"{path}:4: class_id 20")):
+        read(path, 20)

@@ -1,4 +1,5 @@
-"""Seeded fuzzing of the input boundaries: eval JSON lines, tensor files, configs.
+"""Seeded fuzzing of the input boundaries: eval JSON lines, tensor files and
+bundle manifests, configs.
 
 Every case is a valid input mutated by draws from `Rng`, so a failure replays
 from its seed and case number. The property is the documented contract of each
@@ -11,6 +12,7 @@ exception, or another exit code, fails the test and prints the input.
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from stpt.costs import model_cost
 from stpt.errors import StptError
 from stpt.evaluation import read_ground_truth
 from stpt.heads import read_candidates
-from stpt.tensor import Rng, read_tensor
+from stpt.tensor import Rng, read_bundle, read_tensor, write_bundle, write_tensor
 
 SEED = 20240
 CASES = 250
@@ -162,6 +164,58 @@ def test_fuzz_read_tensor(tmp_path):
             rank = raw[7]
             assert arr.shape == struct.unpack(f"<{rank}Q", bytes(raw[8:8 + 8 * rank])), raw
             assert arr.dtype in (np.float32, np.float64), raw
+
+
+def test_fuzz_read_bundle(tmp_path):
+    rng = Rng(SEED).child("bundle")
+    bundle = tmp_path / "b"
+    write_bundle(bundle, {"alpha": np.arange(6, dtype=np.float32).reshape(2, 3),
+                          "beta": np.zeros(4)})
+    # A tensor that fits alpha's entry, just outside the bundle: a reader that
+    # follows "../outside.stpt" would accept it, and the checks below would fail.
+    write_tensor(tmp_path / "outside.stpt", np.zeros((2, 3), dtype=np.float32))
+    good = (bundle / "manifest.json").read_bytes()
+    files = ["alpha.stpt", "beta.stpt", "manifest.json", "missing.stpt", "../outside.stpt",
+             str(tmp_path / "outside.stpt"), "./alpha.stpt", "b/alpha.stpt", "alpha.stpt/",
+             "", ".", "..", "alpha.stpt\0"]
+    dims_pool = [[2, 3], [4], [3, 2], [], [2, 3, 1], [0, 3], [-2, 3], [2.0, 3], [True, 3],
+                 ["2", 3], [2 ** 64, 3], [None]]
+    path = bundle / "manifest.json"
+    for i in range(CASES):
+        crng = rng.child(f"case{i}")
+        manifest = json.loads(good)
+        kind = int(crng.integers(0, 5))  # 0: the manifest, 1: an entry, 2-4: a field
+        for _ in range(int(crng.integers(1, 3))):
+            name = _pick(crng, sorted(manifest) or ["alpha"])
+            if kind == 0:
+                manifest = _pick(crng, HOSTILE_JSON)  # not an object of objects
+                break
+            if kind == 1:
+                manifest[name] = _pick(crng, HOSTILE_JSON)
+            elif type(manifest.get(name)) is dict:
+                entry, key = manifest[name], _pick(crng, ["file", "dims", "dtype", "extra"])
+                if kind == 2:
+                    entry.pop(key, None)
+                else:
+                    entry[key] = _pick(crng, HOSTILE_JSON if kind == 3 else
+                                       files if key == "file" else dims_pool)
+        raw = json.dumps(manifest).encode()
+        if crng.integers(0, 4) == 0:  # break the JSON text or its UTF-8
+            cut = int(crng.integers(0, len(raw)))
+            bad = _pick(crng, [b"", b"}", b",", b"]", b"\"", b"\\", b"\xff"])
+            raw = raw[:cut] + bad + raw[cut + 1:]
+        path.write_bytes(raw)
+        out = _outcome(read_bundle, bundle, 3, f"case {i}: {raw!r}")
+        if out is not None:
+            manifest = json.loads(raw)
+            assert list(out) == list(manifest), raw
+            for name, arr in out.items():
+                fname = manifest[name]["file"]
+                assert fname not in ("", "..") and Path(fname).name == fname, raw  # inside
+                assert list(arr.shape) == manifest[name]["dims"], raw
+                assert arr.dtype in (np.float32, np.float64), raw
+    path.write_bytes(good.replace(b"alpha.stpt", b"alpha\xff.stpt"))
+    _outcome(read_bundle, bundle, 3, "invalid UTF-8")
 
 
 def test_fuzz_load_run_config(tmp_path, monkeypatch):

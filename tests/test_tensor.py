@@ -1,6 +1,7 @@
 """Kernel-layer tests: oracles for linear/conv/norm, rng, and the file format."""
 
 import os
+import re
 import struct
 import threading
 import warnings
@@ -544,3 +545,57 @@ def test_bundle_roundtrip(tmp_path):
     for k in tensors:
         np.testing.assert_array_equal(back[k], tensors[k])
         assert back[k].dtype == tensors[k].dtype
+
+
+def _bundle_with_manifest(tmp_path, manifest: bytes):
+    """A bundle holding alpha (2, 3), whose manifest.json is replaced by `manifest`."""
+    write_bundle(tmp_path / "b", {"alpha": np.zeros((2, 3), dtype=np.float32)})
+    (tmp_path / "b" / "manifest.json").write_bytes(manifest)
+    return tmp_path / "b"
+
+
+@pytest.mark.parametrize("manifest", [
+    b'[{"file": "alpha.stpt", "dims": [2, 3]}]',
+    b'"alpha.stpt"',
+    b'null',
+    b'{"alpha": "alpha.stpt"}',
+    b'{"alpha": ["alpha.stpt", [2, 3]]}',
+    b'{"alpha": {"dims": [2, 3]}}',
+    b'{"alpha": {"file": null, "dims": [2, 3]}}',
+    b'{"alpha": {"file": 7, "dims": [2, 3]}}',
+    b'{"alpha": {"file": "", "dims": [2, 3]}}',
+    b'{"alpha": {"file": ".", "dims": [2, 3]}}',
+    b'{"alpha": {"file": "..", "dims": [2, 3]}}',
+    b'{"alpha": {"file": "../outside.stpt", "dims": [2, 3]}}',
+    b'{"alpha": {"file": "./alpha.stpt", "dims": [2, 3]}}',
+    b'{"alpha": {"file": "sub/alpha.stpt", "dims": [2, 3]}}',
+    b'{"alpha": {"file": "alpha.stpt/", "dims": [2, 3]}}',
+    b'{"alpha": {"file": "OUTSIDE", "dims": [2, 3]}}',
+    b'{"alpha": {"file": "alpha\\u0000.stpt", "dims": [2, 3]}}',
+    b'{"alpha": {"file": "alpha.stpt"}}',
+    b'{"alpha": {"file": "alpha.stpt", "dims": null}}',
+    b'{"alpha": {"file": "alpha.stpt", "dims": "2,3"}}',
+    b'{"alpha": {"file": "alpha.stpt", "dims": {"0": 2}}}',
+    b'{"alpha": {"file": "alpha.stpt", "dims": [2, -3]}}',
+    b'{"alpha": {"file": "alpha.stpt", "dims": [2, 3.0]}}',
+    b'{"alpha": {"file": "alpha.stpt", "dims": [true, 3]}}',
+    b'{"alpha": {"file": "alpha.stpt", "dims": [2, "3"]}}',
+    b'{"alpha": {"file": "alpha.stpt", "dims": [3, 2]}}',
+    b'{"alpha": {"file": "alpha.stpt", "dims": [2, 3]',
+    b'{"alpha": {"file": "alpha\xff.stpt", "dims": [2, 3]}}',
+])
+def test_bundle_malformed_manifest_is_an_input_error_naming_it(tmp_path, manifest):
+    # A valid tensor of the right dims sits just outside the bundle, so an entry
+    # that escapes the directory would be read without error.
+    write_tensor(tmp_path / "outside.stpt", np.zeros((2, 3), dtype=np.float32))
+    manifest = manifest.replace(b"OUTSIDE", str(tmp_path / "outside.stpt").encode())
+    bundle = _bundle_with_manifest(tmp_path, manifest)
+    with pytest.raises(InputError, match=re.escape(str(bundle / "manifest.json"))):
+        read_bundle(bundle)
+
+
+def test_bundle_manifest_may_be_empty_and_may_omit_dtype(tmp_path):
+    assert read_bundle(_bundle_with_manifest(tmp_path, b"{}")) == {}
+    back = read_bundle(_bundle_with_manifest(
+        tmp_path, b'{"a": {"file": "alpha.stpt", "dims": [2, 3]}}'))
+    assert list(back) == ["a"] and back["a"].shape == (2, 3)
