@@ -5,7 +5,7 @@ attention early, global attention late, both with reduced-resolution keys and
 values), a temporal feature pyramid with anchor-free detection heads, detection
 losses with hand-derived gradients, soft-NMS plus mAP evaluation, and an
 analytic cost model. Deterministic by construction: seeded weight generation,
-no framework dependencies beyond numpy/scipy. scipy is used only by GELU's
+no framework dependencies beyond numpy/scipy. scipy is used only by f64 GELU's
 `erf` and the normal inverse CDF (`ndtr`/`ndtri`), and `stpt.tensor` imports it
 at those call sites, so importing the package does not load it.
 """

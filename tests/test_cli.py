@@ -116,6 +116,20 @@ def test_forward_outputs_and_determinism(tmp_path, capsys, monkeypatch):
     assert man_a["num_candidates"] == len(det_a.strip().splitlines())
 
 
+def test_forward_f32_runs_without_scipy_erf(tmp_path, monkeypatch):
+    from scipy import special
+
+    def _raise(*args, **kwargs):
+        raise AssertionError("scipy.special.erf called")
+
+    monkeypatch.setattr(special, "erf", _raise)
+    assert main(["forward", "--config", _toy_ini(tmp_path)]) == 0
+    # The patch reaches GELU's call site: the f64 oracle mode still uses erf.
+    ini64 = _toy_ini(tmp_path, extra="[run]\nprecision = f64\n", outdir="out64")
+    with pytest.raises(AssertionError, match="erf called"):
+        main(["forward", "--config", ini64])
+
+
 def test_forward_reads_tensor_input(tmp_path, capsys):
     clip = np.zeros((32, 24, 24, 3), dtype=np.float32)
     tensor_path = tmp_path / "clip.stpt"

@@ -1,5 +1,7 @@
 """Kernel-layer tests: oracles for linear/conv/norm, rng, and the file format."""
 
+import functools
+import math
 import os
 import re
 import struct
@@ -118,6 +120,96 @@ def test_gelu_values():
     from scipy.special import erf
     want = 0.5 * (1 + erf(1 / np.sqrt(2)))
     np.testing.assert_allclose(gelu(np.array(1.0)), want, atol=1e-7)
+
+
+def _gelu_f64(x: np.ndarray) -> np.ndarray:
+    x64 = x.astype(np.float64)
+    return 0.5 * x64 * (1.0 + special.erf(x64 / np.sqrt(2.0)))
+
+
+def _neighbours(v: np.float32, n: int) -> np.ndarray:
+    """v and its n nearest f32 neighbours on each side."""
+    out = [v]
+    for direction in (np.float32(-np.inf), np.float32(np.inf)):
+        w = v
+        for _ in range(n):
+            w = np.nextafter(w, direction)
+            out.append(w)
+    return np.array(out, dtype=np.float32)
+
+
+def test_gelu_f32_error_bound():
+    edge = np.float32(4 * np.sqrt(2.0))  # where the clamp of x / sqrt(2) starts
+    x = np.concatenate([np.linspace(-12, 12, 1_200_001, dtype=np.float32),
+                        _neighbours(edge, 64), _neighbours(-edge, 64)])
+    got = gelu(x)
+    assert got.dtype == np.float32
+    err = np.abs(got - _gelu_f64(x)) / np.maximum(1.0, np.abs(x.astype(np.float64)))
+    assert err.max() <= 5e-7
+
+
+def test_gelu_f32_far_left_is_negative_zero():
+    edge = -4 * np.sqrt(2.0)
+    x = np.concatenate([_neighbours(np.float32(edge), 64),
+                        np.float32([-6, -12, -1e4, -3e38, np.finfo(np.float32).min])])
+    x = x[x.astype(np.float64) <= edge]
+    got = gelu(x)
+    assert (got == 0).all() and np.signbit(got).all()
+
+
+def test_gelu_f32_non_finite():
+    x = np.float32([np.nan, -np.inf, np.inf, -np.nan])
+    with np.errstate(invalid="ignore"):
+        got = gelu(x)
+    # GELU(-inf) = -inf * 0 is NaN, which check_finite reports; NaN carries.
+    assert np.isnan(got[[0, 1, 3]]).all()
+    assert got[2] == np.inf
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_shapes_and_layouts(dtype):
+    x = Rng(16).normal((37, 53)).astype(dtype)
+    t = x.T
+    assert not t.flags.c_contiguous
+    got = gelu(t)
+    assert got.shape == t.shape and got.dtype == dtype
+    np.testing.assert_array_equal(got, gelu(np.ascontiguousarray(t)))
+    scalar = gelu(x[3, 4].reshape(()))
+    assert scalar.shape == () and scalar.dtype == dtype and scalar == gelu(x[3:4, 4:5])[0, 0]
+    empty = gelu(np.empty((0, 5), dtype=dtype))
+    assert empty.shape == (0, 5) and empty.dtype == dtype
+
+
+def test_gelu_f32_chunk_size_does_not_change_bytes(monkeypatch):
+    x = Rng(17).normal((3, 1001)).astype(np.float32) * 4
+    whole = gelu(x)
+    assert x.size < tensor._GELU_CHUNK
+    monkeypatch.setattr(tensor, "_GELU_CHUNK", 7)
+    assert gelu(x).tobytes() == whole.tobytes()
+    assert gelu(x.T).tobytes() == np.ascontiguousarray(whole.T).tobytes()
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("scipy.special.erf called")
+
+
+def test_gelu_f32_never_calls_scipy_erf(monkeypatch):
+    x = Rng(18).normal((64, 96)).astype(np.float32)
+    want = gelu(x)
+    monkeypatch.setattr(special, "erf", _raise)
+    assert gelu(x).tobytes() == want.tobytes()
+
+
+def test_gelu_f64_keeps_scipy_erf(monkeypatch):
+    x = Rng(19).normal((64, 96)) * 3
+    real_erf, calls = special.erf, []
+    want = x * (1.0 + real_erf(x / np.sqrt(2.0))) * 0.5
+    monkeypatch.setattr(special, "erf", lambda *a, **k: calls.append(1) or real_erf(*a, **k))
+    assert gelu(x).tobytes() == want.tobytes()
+    assert calls == [1]
+    monkeypatch.setattr(special, "erf", _raise)
+    with pytest.raises(AssertionError, match="erf called"):
+        gelu(x)
 
 
 def test_softplus_sigmoid_stability():
@@ -312,11 +404,13 @@ def test_kernels_compute_in_input_dtype():
     assert {k: v.dtype for k, v in outs.items()} == {k: np.float32 for k in outs}
 
 
-def test_gelu_leaves_its_input_alone():
-    x = Rng(15).normal((4, 5))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_leaves_its_input_alone(dtype):
+    x = Rng(15).normal((40, 50)).astype(dtype)
     before = x.copy()
     gelu(x)
-    np.testing.assert_array_equal(x, before)
+    gelu(x.T)
+    assert x.tobytes() == before.tobytes()
 
 
 def test_conv_output_extent_and_bad_geometry():
@@ -406,6 +500,30 @@ def test_truncated_normal_consumes_one_uniform_per_value(a, b):
     np.testing.assert_array_equal(np.concatenate([first.reshape(-1), second]), whole)
     # The next uniform is the one after the na + b the draws consumed.
     assert r.uniform() == Rng(9)._gen.random(na + b + 1)[-1]
+
+
+@functools.cache
+def _tn_node(k: int) -> float:
+    """Node k of the Rng docstring's inverse-CDF grid."""
+    if k in (0, tensor._TN_STEPS):
+        return -2.0 if k == 0 else 2.0
+    lo, hi = float(special.ndtr(-2.0)), float(special.ndtr(2.0))
+    return float(special.ndtri(lo + (hi - lo) * (k / tensor._TN_STEPS)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [0, 1, tensor._TN_CHUNK - 1, tensor._TN_CHUNK + 1,
+                               3 * tensor._TN_CHUNK + 5])
+def test_truncated_normal_matches_the_elementwise_formula(n, dtype):
+    std = 0.02
+    got = Rng(6).truncated_normal((n,), std=std, dtype=dtype)
+    want = []
+    for u in Rng(6)._gen.random(n).tolist():
+        scaled = u * tensor._TN_STEPS
+        k = math.floor(scaled)
+        slope = _tn_node(k + 1) - _tn_node(k)
+        want.append((slope * (scaled - k) + _tn_node(k)) * std)
+    assert got.tobytes() == np.array(want, dtype=np.float64).astype(dtype).tobytes()
 
 
 def test_truncated_normal_returns_the_requested_dtype():
