@@ -28,9 +28,8 @@ from .heads import (CoarsePrediction, DetectionCandidate, DetectionConfig,
                     coarse_segments, combine_scores, decode, init_head_weights,
                     predict_coarse, pyramid_lengths, read_candidates, refine,
                     refine_segment, write_candidates)
-from .losses import (LossBreakdown, LossConfig, MatchedTargets, combine_losses,
-                     focal_loss, gradient_check_report, l1_offset_loss, loss_profile,
-                     match_anchors, quality_loss, tiou_loss, total_loss)
+from .losses import (focal_loss, gradient_check_report, l1_offset_loss, quality_loss,
+                     tiou_loss)
 from .tensor import (ClipTensor, Conv3DWeights, LinearWeights, Rng, check_finite, conv3d,
                      finite_diff_grad, gelu, gradcheck, layer_norm, linear,
                      read_bundle, read_tensor, sigmoid, softmax, softplus,

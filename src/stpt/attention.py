@@ -48,6 +48,16 @@ class WindowSpec:
             raise ConfigError(f"window extents must be positive, got {self.extents}")
 
 
+def check_window(extents: Extents, ratios: Extents, where: str = "") -> None:
+    """Require every local window extent to be a multiple of its reduction ratio.
+
+    where prefixes the message, e.g. "stage1 block0: " from the config loader.
+    """
+    for e, r in zip(extents, ratios):
+        if e % r != 0:
+            raise ConfigError(f"{where}window extent {e} must be a multiple of reduction ratio {r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class ReductionSpec:
     """Depth-wise strided reduction of the K and V maps.
@@ -93,11 +103,7 @@ class AttentionParams:
         if self.kind == "local":
             if self.window is None:
                 raise ConfigError("local attention requires a window")
-            for e, r in zip(self.window.extents, self.reduction.ratios):
-                if e % r != 0:
-                    raise ConfigError(
-                        f"window extent {e} must be a multiple of reduction ratio {r}"
-                    )
+            check_window(self.window.extents, self.reduction.ratios)
         for name, w in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):
             if w.in_channels != self.channels or w.out_channels != self.channels:
                 raise ConfigError(f"{name} must map {self.channels} -> {self.channels} channels")

@@ -212,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="boundary noise as a fraction of instance length")
     p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("init-config", help="write a config file with every default")
+    p = sub.add_parser("init-config", help="write a config file of defaults; the "
+                       "NMS and top-k keys are left to the profile")
     p.add_argument("path", help="file to create")
     p.set_defaults(fn=cmd_init_config)
 

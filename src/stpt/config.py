@@ -35,7 +35,9 @@ Grammar (INI style, all keys optional):
 
 Out-of-range values are rejected: [detection] fps must be finite and positive,
 top_k at least 1, nms_threshold in [0, 1] and nms_sigma positive; the seed
-must be non-negative.
+must be non-negative; every extent of a local block's window, including the
+late-stage windows that the default layout derives, must be a multiple of
+its stage's reduction ratio.
 """
 
 from __future__ import annotations
@@ -47,11 +49,11 @@ import json
 import os
 from pathlib import Path
 
+from .attention import check_window
 from .backbone import ModelConfig, default_config, toy_config
 from .errors import ConfigError
 from .evaluation import EvalConfig, eval_profile
 from .heads import DetectionConfig
-from .losses import LossConfig, loss_profile
 
 
 def _parse_bool(s: str) -> bool:
@@ -97,7 +99,6 @@ class RunConfig:
     model: ModelConfig
     det: DetectionConfig
     eval_cfg: EvalConfig
-    loss: LossConfig
     profile: str
     input_path: str | None
     output_dir: str
@@ -127,10 +128,7 @@ class RunConfig:
                           "nms_mode": self.eval_cfg.nms_mode,
                           "nms_threshold": self.eval_cfg.nms_threshold,
                           "nms_sigma": self.eval_cfg.nms_sigma,
-                          "top_k": self.eval_cfg.top_k,
-                          "lambda_cls": self.loss.lambda_cls,
-                          "lambda_loc": self.loss.lambda_loc,
-                          "lambda_q": self.loss.lambda_q},
+                          "top_k": self.eval_cfg.top_k},
             # output_dir is a pure sink: it never affects computed values, so
             # it stays out of the hash. The input path does affect them.
             "io": {"input": self.input_path or ""},
@@ -211,10 +209,14 @@ def load_run_config(path: str | None = None, variant: str | None = None) -> RunC
                                dtype=rv["precision"], lsta_temporal=mv["lsta_temporal"])
     else:
         raise ConfigError(f"[model] preset must be default or toy, got {mv['preset']!r}")
+    # Attention rejects a local window that its stage's reduction ratios do
+    # not divide; checking here makes flops and describe reject it as forward does.
+    for si, spec in enumerate(model.stages):
+        for bi, window in enumerate(spec.windows if spec.kind == "local" else ()):
+            check_window(window, spec.reduction, f"stage{si + 1} block{bi}: ")
 
     profile = dv["profile"]
     eval_cfg = eval_profile(profile)
-    loss = loss_profile(profile)
     overrides = {}
     for key, field in (("top_k", "top_k"), ("nms_mode", "nms_mode"),
                        ("nms_threshold", "nms_threshold"), ("nms_sigma", "nms_sigma")):
@@ -225,13 +227,17 @@ def load_run_config(path: str | None = None, variant: str | None = None) -> RunC
     det = DetectionConfig(num_classes=dv["num_classes"], clip_fps=dv["fps"])
 
     input_path = iov["input"] or None
-    return RunConfig(model=model, det=det, eval_cfg=eval_cfg, loss=loss,
-                     profile=profile, input_path=input_path,
-                     output_dir=iov["output_dir"], seed=rv["seed"])
+    return RunConfig(model=model, det=det, eval_cfg=eval_cfg, profile=profile,
+                     input_path=input_path, output_dir=iov["output_dir"], seed=rv["seed"])
 
 
 def write_default_config(path: str | Path) -> None:
-    """Emit a config file listing every key at its default value."""
+    """Emit a config file listing every key at its default value but four.
+
+    [detection] top_k, nms_mode, nms_threshold and nms_sigma are left out:
+    their defaults come from profile, so a written thumos value would
+    override profile = anet.
+    """
     lines = []
     for section, keys in _DEFAULTS.items():
         lines.append(f"[{section}]")

@@ -8,31 +8,11 @@ every segment overlap comes from the package's one tIoU, `evaluation.tiou`.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .errors import ConfigError, NumericError
 from .evaluation import _overlap, tiou
 from .tensor import Rng, gradcheck, sigmoid
-
-
-@dataclasses.dataclass(frozen=True)
-class LossConfig:
-    gamma: float = 2.0
-    alpha: float = 0.25
-    lambda_cls: float = 1.0
-    lambda_loc: float = 10.0
-    lambda_q: float = 1.0
-    clamp_eps: float = 1e-7
-
-
-def loss_profile(name: str) -> LossConfig:
-    if name == "thumos":
-        return LossConfig(lambda_loc=10.0)
-    if name == "anet":
-        return LossConfig(lambda_loc=1.0)
-    raise ConfigError(f"unknown loss profile {name!r}")
 
 
 def focal_loss(logits: np.ndarray, targets: np.ndarray, gamma: float = 2.0,
@@ -113,85 +93,6 @@ def quality_loss(logits: np.ndarray, target: np.ndarray, eps: float = 1e-7) -> t
     loss = float((-t * np.log(p) - (1.0 - t) * np.log(1.0 - p)).mean())
     grad = (sigmoid(z) - t) / z.size
     return loss, grad
-
-
-def combine_losses(cls_loss: float, loc_loss: float, q_loss: float, cfg: LossConfig) -> float:
-    return cfg.lambda_cls * cls_loss + cfg.lambda_loc * loc_loss + cfg.lambda_q * q_loss
-
-
-@dataclasses.dataclass(frozen=True)
-class MatchedTargets:
-    matched: np.ndarray      # (n,) bool
-    class_ids: np.ndarray    # (n,) int, -1 where unmatched
-    segments: np.ndarray     # (n, 2) matched ground-truth segments, zeros where unmatched
-
-
-def match_anchors(anchor_times: np.ndarray, cell_spans: np.ndarray,
-                  gt_segments: np.ndarray, gt_classes: np.ndarray) -> MatchedTargets:
-    """Assign each anchor to the ground-truth instance containing its timestamp.
-
-    Among containing instances, the one with the highest tIoU against the
-    anchor's one-stride cell wins; ties go to the earliest instance index.
-    """
-    t = np.asarray(anchor_times, dtype=np.float64)[:, None]
-    gt = np.asarray(gt_segments, dtype=np.float64).reshape(-1, 2)
-    inside = (gt[:, 0] <= t) & (t < gt[:, 1])  # (anchors, instances)
-    matched = inside.any(axis=1)
-    if not matched.any():
-        return MatchedTargets(matched, np.full(len(t), -1), np.zeros((len(t), 2)))
-    # argmax takes the earliest index on ties
-    j = np.where(inside, tiou(np.asarray(cell_spans)[:, None, :], gt), -1.0).argmax(axis=1)
-    return MatchedTargets(matched, np.where(matched, np.asarray(gt_classes)[j], -1),
-                          np.where(matched[:, None], gt[j], 0.0))
-
-
-@dataclasses.dataclass(frozen=True)
-class LossBreakdown:
-    cls: float
-    loc: float
-    quality: float
-    total: float
-
-
-def total_loss(coarse_cls: np.ndarray, coarse_seg: np.ndarray, refined_cls: np.ndarray,
-               refined_off: np.ndarray, quality_logits: np.ndarray,
-               targets: MatchedTargets, cfg: LossConfig) -> LossBreakdown:
-    """Multi-task objective over one clip's flattened anchors.
-
-    Classification is focal loss on both rounds over all anchors; localization
-    is tIoU loss on the coarse segments plus L1 on the refinement offsets of
-    positive anchors; the quality branch regresses the tIoU of the refined
-    segment against its matched instance (target treated as a constant).
-    """
-    n, k = coarse_cls.shape
-    onehot = np.zeros((n, k), dtype=np.float64)
-    pos = targets.matched
-    onehot[pos, targets.class_ids[pos]] = 1.0
-    cls_c, _ = focal_loss(coarse_cls, onehot, cfg.gamma, cfg.alpha, cfg.clamp_eps)
-    cls_r, _ = focal_loss(refined_cls, onehot, cfg.gamma, cfg.alpha, cfg.clamp_eps)
-    cls_loss = cls_c + cls_r
-
-    if pos.any():
-        seg_p = coarse_seg[pos]
-        seg_t = targets.segments[pos]
-        tiou_l, _ = tiou_loss(seg_p, seg_t)
-        half = 0.5 * (seg_p[:, 1] - seg_p[:, 0])
-        if (half <= 0).any():
-            raise ConfigError("coarse segments must have positive length for offset targets")
-        off_t = (seg_t - seg_p) / half[:, None]
-        l1_l, _ = l1_offset_loss(refined_off[pos], off_t)
-        refined_seg = np.stack([
-            seg_p[:, 0] + half * refined_off[pos][:, 0],
-            seg_p[:, 1] + half * refined_off[pos][:, 1],
-        ], axis=1)
-        q_target = tiou(refined_seg, seg_t)
-        q_l, _ = quality_loss(quality_logits[pos], q_target, cfg.clamp_eps)
-    else:
-        tiou_l = l1_l = q_l = 0.0
-
-    loc_loss = tiou_l + l1_l
-    return LossBreakdown(cls=cls_loss, loc=loc_loss, quality=q_l,
-                         total=combine_losses(cls_loss, loc_loss, q_l, cfg))
 
 
 def _sample_smooth_segments(rng, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -194,7 +194,10 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact erf form: 0.5 * x * (1 + erf(x / sqrt(2))), on one output buffer.
+    """Exact erf form: x * (0.5 * (1 + erf(x / sqrt(2)))), on one output buffer.
+
+    The factor is halved before x multiplies it, which is exact, so a finite x
+    never overflows on the way to GELU(x), whose magnitude is at most |x|.
 
     f64 input takes erf from scipy: f64 is the oracle mode. scipy's f32 erf
     computes in f64 and is no faster, so f32 input evaluates erf in f32 as
@@ -215,8 +218,8 @@ def gelu(x: np.ndarray) -> np.ndarray:
         y = np.divide(x, math.sqrt(2.0), out=np.empty_like(x))
         special.erf(y, out=y)
         y += 1.0
-        y *= x
         y *= 0.5
+        y *= x
         return y
 
     out = np.empty(x.shape, dtype=np.float32)
@@ -239,8 +242,8 @@ def gelu(x: np.ndarray) -> np.ndarray:
         pk *= uk
         pk /= _horner(tk, _ERF_Q, out=uk)  # u is spent; Q(u**2) takes its buffer
         pk += 1.0
-        pk *= xk
-        np.multiply(pk, 0.5, out=dst[s:s + k])
+        pk *= 0.5
+        np.multiply(pk, xk, out=dst[s:s + k])
     return out
 
 

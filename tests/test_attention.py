@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from stpt import attention
-from stpt.attention import (AttentionParams, PartitionRecord, ReductionSpec,
-                            WindowSpec, gsta_forward, lsta_forward, merge_windows,
-                            partition_windows, reduce_kv)
+from stpt.attention import (AttentionParams, ReductionSpec, WindowSpec, gsta_forward,
+                            lsta_forward, merge_windows, partition_windows, reduce_kv)
 from stpt.errors import ConfigError
 from stpt.tensor import ClipTensor, Conv3DWeights, LinearWeights, Rng, conv3d, softmax
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stpt import backbone, tensor
-from stpt.attention import AttentionParams, ReductionSpec, WindowSpec
+from stpt.attention import AttentionParams, ReductionSpec
 from stpt.backbone import (BlockWeights, LayerNormWeights, ModelConfig, StageSpec,
                            backbone_forward, default_config, init_model_weights,
                            patch_embed, stpt_block, toy_config)
@@ -139,9 +139,6 @@ def test_zero_block_is_identity():
 
 def test_cpe_toggle_changes_output():
     rng = Rng(1)
-    cfg = toy_config()
-    spec = cfg.stages[0]
-    from stpt.backbone import init_attention
     c = 4
     block = dataclasses.replace(
         _zero_block(c),

@@ -229,6 +229,27 @@ def test_forward_zero_fps_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("model,where", [
+    ("lsta_temporal = 7,8,16\n", "stage1 block0"),
+    ("height = 112\nwidth = 112\nvariant = LLLL\n", "stage3 block0"),
+], ids=["lsta_temporal", "late_local"])
+@pytest.mark.parametrize("command", ["flops", "describe", "forward"])
+def test_window_not_divisible_by_reduction_exit_2(tmp_path, capsys, monkeypatch, command,
+                                                   model, where):
+    def no_weights(*args, **kwargs):
+        raise AssertionError("weights drawn for a rejected config")
+
+    monkeypatch.setattr("stpt.cli.init_model_weights", no_weights)
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[model]\n{model}[io]\noutput_dir = {tmp_path / 'out'}\n")
+    assert main([command, "--config", str(ini)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"{where}: window extent 7 must be a multiple of reduction ratio 2"
+            in captured.err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_eval_inputs_exit_code(tmp_path, capsys):
     assert main(["eval", "--preds", str(tmp_path / "nope.jsonl"),
                  "--gts", str(tmp_path / "nope2.jsonl")]) == 3

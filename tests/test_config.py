@@ -3,7 +3,8 @@
 import pytest
 
 from stpt.backbone import default_config, toy_config
-from stpt.config import RunConfig, load_run_config, write_default_config
+from stpt import config
+from stpt.config import load_run_config, write_default_config
 from stpt.errors import ConfigError
 
 
@@ -24,7 +25,6 @@ def test_defaults_reproduce_standard_setup():
     assert cfg.det.num_classes == 20 and cfg.det.clip_fps == 10.0
     assert cfg.profile == "thumos"
     assert cfg.eval_cfg.thresholds == (0.3, 0.4, 0.5, 0.6, 0.7)
-    assert cfg.loss.lambda_loc == 10.0
     assert cfg.seed == 0
     assert cfg.input_path is None and cfg.output_dir == "stpt_out"
     assert cfg.model.dtype == "f32"
@@ -61,6 +61,13 @@ def test_unknown_key_rejected(tmp_path):
     ("[detection]\nnms_sigma = nan\n", "nms_sigma"),
     ("[run]\nseed = -1\n", "seed"),
     ("[model]\nlsta_temporal = 0,8,16\n", "window"),
+    # Windows that the reduction ratios do not divide, which attention rejects:
+    # one given by lsta_temporal, one that the default layout derives for a
+    # late stage switched to local.
+    ("[model]\nlsta_temporal = 7,8,16\n",
+     r"stage1 block0: window extent 7 must be a multiple of reduction ratio 2"),
+    ("[model]\nheight = 112\nwidth = 112\nvariant = LLLL\n",
+     r"stage3 block0: window extent 7 must be a multiple of reduction ratio 2"),
 ])
 def test_bad_values_are_named(tmp_path, text, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -116,7 +123,6 @@ def test_env_seed_override(tmp_path, monkeypatch):
 def test_detection_overrides_only_when_present(tmp_path):
     cfg = load_run_config(_write(tmp_path, "[detection]\nprofile = anet\n"))
     assert cfg.eval_cfg.nms_threshold == 0.85  # profile default untouched
-    assert cfg.loss.lambda_loc == 1.0
     cfg2 = load_run_config(_write(
         tmp_path, "[detection]\nprofile = anet\nnms_mode = gaussian\ntop_k = 50\n"))
     assert cfg2.eval_cfg.nms_mode == "gaussian"
@@ -138,6 +144,31 @@ def test_config_hash_tracks_effective_settings(tmp_path):
     # The output directory is a sink: it never changes what gets computed.
     same = load_run_config(_write(tmp_path, "[io]\noutput_dir = elsewhere\n")).config_hash()
     assert same == base
+
+
+# A valid value, other than the default, for every key of the schema.
+_NON_DEFAULT = {
+    "model": {"preset": "toy", "frames": "128", "height": "64", "width": "64",
+              "variant": "GGGG", "cpe": "false", "lsta_temporal": "4,8,16"},
+    "detection": {"profile": "anet", "num_classes": "10", "fps": "5.0", "top_k": "50",
+                  "nms_mode": "gaussian", "nms_threshold": "0.6", "nms_sigma": "0.7"},
+    "io": {"input": "clip.npy", "output_dir": "elsewhere"},
+    "run": {"seed": "1", "precision": "f64"},
+}
+
+
+def test_every_key_but_output_dir_moves_config_hash(tmp_path):
+    assert {s: set(k) for s, k in _NON_DEFAULT.items()} == \
+        {s: set(k) for s, k in config._SCHEMA.items()}
+    base = load_run_config(None).config_hash()
+    for section, keys in config._SCHEMA.items():
+        for key in keys:
+            value = _NON_DEFAULT[section][key]
+            moved = load_run_config(_write(tmp_path, f"[{section}]\n{key} = {value}\n"))
+            if (section, key) == ("io", "output_dir"):
+                assert moved.config_hash() == base
+            else:
+                assert moved.config_hash() != base, f"[{section}] {key}"
 
 
 def test_write_default_config_roundtrip(tmp_path):

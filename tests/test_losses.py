@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from stpt.errors import ConfigError
-from stpt.losses import (LossConfig, combine_losses, focal_loss, gradient_check_report,
-                         l1_offset_loss, loss_profile, match_anchors, quality_loss,
-                         tiou_loss, total_loss)
+from stpt.losses import (focal_loss, gradient_check_report, l1_offset_loss, quality_loss,
+                         tiou_loss)
 from stpt.tensor import Rng, finite_diff_grad
 
 
@@ -82,84 +81,6 @@ def test_quality_loss_values():
     assert loss == pytest.approx(math.log(2.0), rel=1e-12)
     with pytest.raises(ConfigError, match="0, 1"):
         quality_loss(np.array([0.0]), np.array([1.5]))
-
-
-def test_profiles_and_combination():
-    thumos = loss_profile("thumos")
-    anet = loss_profile("anet")
-    assert thumos.lambda_loc == 10.0 and anet.lambda_loc == 1.0
-    assert combine_losses(1.0, 1.0, 1.0, thumos) == 12.0
-    assert combine_losses(1.0, 1.0, 1.0, anet) == 3.0
-    with pytest.raises(ConfigError):
-        loss_profile("kinetics")
-
-
-def test_match_anchors_containment():
-    anchors = np.array([0.5, 1.5, 2.5, 3.5])
-    spans = np.array([[0, 1], [1, 2], [2, 3], [3, 4]], dtype=float)
-    m = match_anchors(anchors, spans, np.array([[1.0, 3.0]]), np.array([7]))
-    np.testing.assert_array_equal(m.matched, [False, True, True, False])
-    np.testing.assert_array_equal(m.class_ids, [-1, 7, 7, -1])
-    np.testing.assert_array_equal(m.segments[1], [1.0, 3.0])
-
-
-def test_match_anchors_prefers_highest_cell_overlap():
-    anchors = np.array([1.5])
-    spans = np.array([[1.0, 2.0]])
-    # Both instances contain the anchor; the short one overlaps its cell more.
-    gts = np.array([[0.0, 10.0], [1.0, 2.5]])
-    m = match_anchors(anchors, spans, gts, np.array([3, 4]))
-    assert m.class_ids[0] == 4
-    # Exact tie goes to the earlier index.
-    twin = np.array([[1.0, 2.5], [1.0, 2.5]])
-    m2 = match_anchors(anchors, spans, twin, np.array([5, 6]))
-    assert m2.class_ids[0] == 5
-
-
-def test_match_anchors_empty():
-    m = match_anchors(np.array([0.5]), np.array([[0.0, 1.0]]),
-                      np.zeros((0, 2)), np.zeros(0, dtype=int))
-    assert not m.matched.any()
-
-
-def _random_clip_predictions(seed, n=10, k=4):
-    rng = Rng(seed)
-    anchors = np.arange(n) + 0.5
-    spans = np.stack([anchors - 0.5, anchors + 0.5], axis=1)
-    gts = np.array([[1.2, 4.3], [6.1, 8.9]])
-    cls = np.array([1, 3])
-    targets = match_anchors(anchors, spans, gts, cls)
-    coarse_cls = rng.child("cc").normal((n, k))
-    refined_cls = rng.child("rc").normal((n, k))
-    starts = anchors - rng.child("ds").uniform((n,), 0.5, 1.5)
-    ends = anchors + rng.child("de").uniform((n,), 0.5, 1.5)
-    coarse_seg = np.stack([starts, ends], axis=1)
-    refined_off = rng.child("ro").normal((n, 2), 0.0, 0.2)
-    quality = rng.child("q").normal((n,))
-    return coarse_cls, coarse_seg, refined_cls, refined_off, quality, targets
-
-
-def test_total_loss_breakdown():
-    parts = _random_clip_predictions(1)
-    cfg = loss_profile("thumos")
-    out = total_loss(*parts, cfg)
-    assert out.cls > 0 and out.loc > 0 and out.quality > 0
-    assert out.total == pytest.approx(combine_losses(out.cls, out.loc, out.quality, cfg),
-                                      rel=1e-12)
-    # The locality weight is the only difference between profiles.
-    out2 = total_loss(*parts, loss_profile("anet"))
-    assert out2.cls == out.cls and out2.loc == out.loc and out2.quality == out.quality
-    assert out2.total < out.total
-
-
-def test_total_loss_without_positives():
-    coarse_cls, coarse_seg, refined_cls, refined_off, quality, _ = _random_clip_predictions(2)
-    empty = match_anchors(np.arange(10) + 0.5,
-                          np.stack([np.arange(10.0), np.arange(10.0) + 1], axis=1),
-                          np.zeros((0, 2)), np.zeros(0, dtype=int))
-    out = total_loss(coarse_cls, coarse_seg, refined_cls, refined_off, quality,
-                     empty, loss_profile("thumos"))
-    assert out.loc == 0.0 and out.quality == 0.0 and out.cls > 0.0
 
 
 def test_gradients_match_finite_differences():

@@ -167,6 +167,15 @@ def test_gelu_f32_non_finite():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_finite_beyond_half_the_dtype_max(dtype):
+    # GELU(x) is x to within rounding for large x, so no finite x may overflow.
+    big = np.finfo(dtype).max
+    got = gelu(np.array([big / 1.5, big, -big], dtype=dtype))
+    np.testing.assert_array_equal(got[:2], [big / 1.5, big])
+    assert got[2] == 0.0 and np.signbit(got[2])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gelu_shapes_and_layouts(dtype):
     x = Rng(16).normal((37, 53)).astype(dtype)
     t = x.T
