@@ -10,9 +10,8 @@ no framework dependencies beyond numpy/scipy. scipy is used only by f64 GELU's
 at those call sites, so importing the package does not load it.
 """
 
-from .attention import (AttentionParams, PartitionRecord, ReductionSpec, WindowSpec,
-                        gsta_forward, lsta_forward, merge_windows, partition_windows,
-                        reduce_kv)
+from .attention import (AttentionParams, PartitionRecord, ReductionSpec, gsta_forward,
+                        lsta_forward, merge_windows, partition_windows, reduce_kv)
 from .backbone import (BackboneOutput, BlockWeights, ModelConfig, ModelWeights,
                        StageSpec, StageWeights, backbone_forward, default_config,
                        init_model_weights, patch_embed, stpt_block, toy_config)

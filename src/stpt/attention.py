@@ -37,22 +37,14 @@ Extents = tuple[int, int, int]
 SCORE_BLOCK_BYTES = 16 * 1024 * 1024
 
 
-@dataclasses.dataclass(frozen=True)
-class WindowSpec:
-    """Window extents in tokens along (T, H, W)."""
-
-    extents: Extents
-
-    def __post_init__(self):
-        if any(e < 1 for e in self.extents):
-            raise ConfigError(f"window extents must be positive, got {self.extents}")
-
-
 def check_window(extents: Extents, ratios: Extents, where: str = "") -> None:
-    """Require every local window extent to be a multiple of its reduction ratio.
+    """Require every local window extent (tokens along T, H, W) to be positive
+    and a multiple of its reduction ratio.
 
     where prefixes the message, e.g. "stage1 block0: " from the config loader.
     """
+    if any(e < 1 for e in extents):
+        raise ConfigError(f"{where}window extents must be positive, got {extents}")
     for e, r in zip(extents, ratios):
         if e % r != 0:
             raise ConfigError(f"{where}window extent {e} must be a multiple of reduction ratio {r}")
@@ -85,25 +77,29 @@ class ReductionSpec:
 
 @dataclasses.dataclass(frozen=True)
 class AttentionParams:
-    channels: int
+    """One attention's weights; `window` holds local window extents, None means global."""
+
     heads: int
     wq: LinearWeights
     wk: LinearWeights
     wv: LinearWeights
     wo: LinearWeights
-    kind: str  # "local" | "global"
     reduction: ReductionSpec
-    window: WindowSpec | None = None
+    window: Extents | None = None
+
+    @property
+    def kind(self) -> str:
+        return "global" if self.window is None else "local"
+
+    @property
+    def channels(self) -> int:
+        return self.wq.in_channels
 
     def __post_init__(self):
-        if self.kind not in ("local", "global"):
-            raise ConfigError(f"attention kind must be local or global, got {self.kind!r}")
         if self.channels % self.heads != 0:
             raise ConfigError(f"channels {self.channels} not divisible by heads {self.heads}")
-        if self.kind == "local":
-            if self.window is None:
-                raise ConfigError("local attention requires a window")
-            check_window(self.window.extents, self.reduction.ratios)
+        if self.window is not None:
+            check_window(self.window, self.reduction.ratios)
         for name, w in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):
             if w.in_channels != self.channels or w.out_channels != self.channels:
                 raise ConfigError(f"{name} must map {self.channels} -> {self.channels} channels")
@@ -277,7 +273,7 @@ def lsta_forward(x: ClipTensor, p: AttentionParams) -> ClipTensor:
     """Windowed attention against the matching windows of the reduced K/V maps."""
     if p.kind != "local":
         raise ConfigError("lsta_forward requires local attention params")
-    return _attend(x, p, p.window.extents)
+    return _attend(x, p, p.window)
 
 
 def gsta_forward(x: ClipTensor, p: AttentionParams) -> ClipTensor:

@@ -15,7 +15,7 @@ import dataclasses
 
 import numpy as np
 
-from .attention import AttentionParams, ReductionSpec, WindowSpec, gsta_forward, lsta_forward
+from .attention import AttentionParams, ReductionSpec, gsta_forward, lsta_forward
 from .errors import ConfigError
 from .tensor import (
     DTYPES,
@@ -34,13 +34,19 @@ from .tensor import (
 
 Extents = tuple[int, int, int]
 
+# Fixed by the architecture, not by the config.
 HEAD_CHANNELS = 96  # channels per attention head; heads per stage = C_s / 96
+IN_CHANNELS = 3  # RGB clips
+MLP_RATIO = 4  # MLP hidden channels per block channel
 # Bytes of MLP hidden map per row block (see stpt_block).
 MLP_BLOCK_BYTES = 3 * 1024 * 1024
 
 
 @dataclasses.dataclass(frozen=True)
 class StageSpec:
+    """One stage. Heads follow from the width; windows need positive extents here,
+    and `check_window`'s ratio rule is left to the config loader and attention."""
+
     channels: int
     depth: int
     kind: str  # "local" | "global"
@@ -48,7 +54,6 @@ class StageSpec:
     patch_stride: Extents
     reduction: Extents
     windows: tuple[Extents, ...] | None = None  # one per block, local stages only
-    heads: int = 0  # 0 means channels // HEAD_CHANNELS
 
     def __post_init__(self):
         if self.kind not in ("local", "global"):
@@ -60,14 +65,14 @@ class StageSpec:
                 raise ConfigError("local stage needs one window per block")
             if any(e < 1 for w in self.windows for e in w):
                 raise ConfigError(f"window extents must be positive, got {self.windows}")
-        if self.resolved_heads < 1 or self.channels % self.resolved_heads != 0:
+        if self.channels % self.resolved_heads != 0:
             raise ConfigError(
                 f"stage channels {self.channels} incompatible with heads {self.resolved_heads}"
             )
 
     @property
     def resolved_heads(self) -> int:
-        return self.heads if self.heads else max(1, self.channels // HEAD_CHANNELS)
+        return max(1, self.channels // HEAD_CHANNELS)
 
 
 def _embedded_extents(input_dims: Extents,
@@ -85,10 +90,8 @@ def _embedded_extents(input_dims: Extents,
 class ModelConfig:
     stages: tuple[StageSpec, ...]
     input_dims: Extents = (256, 96, 96)
-    in_channels: int = 3
     cpe_enabled: bool = True
     dtype: str = "f32"
-    mlp_ratio: int = 4
 
     def __post_init__(self):
         if self.dtype not in ("f32", "f64"):
@@ -104,8 +107,7 @@ class ModelConfig:
                                  [(s.patch_kernel, s.patch_stride) for s in self.stages])
 
     def stage_in_channels(self) -> list[int]:
-        chans = [self.in_channels] + [s.channels for s in self.stages[:-1]]
-        return chans
+        return [IN_CHANNELS] + [s.channels for s in self.stages[:-1]]
 
 
 def default_config(
@@ -243,15 +245,13 @@ def _init_reduction(rng: Rng, channels: int, ratios: Extents, dtype) -> Reductio
 def init_attention(rng: Rng, spec: StageSpec, window: Extents | None, dtype) -> AttentionParams:
     c = spec.channels
     return AttentionParams(
-        channels=c,
         heads=spec.resolved_heads,
         wq=_init_linear(rng.child("wq"), c, c, dtype),
         wk=_init_linear(rng.child("wk"), c, c, dtype),
         wv=_init_linear(rng.child("wv"), c, c, dtype),
         wo=_init_linear(rng.child("wo"), c, c, dtype),
-        kind=spec.kind,
         reduction=_init_reduction(rng.child("reduce"), c, spec.reduction, dtype),
-        window=WindowSpec(window) if window is not None else None,
+        window=window,
     )
 
 
@@ -282,8 +282,8 @@ def init_model_weights(cfg: ModelConfig, rng: Rng) -> ModelWeights:
                     ln1=_init_ln(c, dtype),
                     attn=init_attention(brng.child("attn"), spec, window, dtype),
                     ln2=_init_ln(c, dtype),
-                    mlp_in=_init_linear(brng.child("mlp_in"), c, cfg.mlp_ratio * c, dtype),
-                    mlp_out=_init_linear(brng.child("mlp_out"), cfg.mlp_ratio * c, c, dtype),
+                    mlp_in=_init_linear(brng.child("mlp_in"), c, MLP_RATIO * c, dtype),
+                    mlp_out=_init_linear(brng.child("mlp_out"), MLP_RATIO * c, c, dtype),
                 )
             )
         stages.append(StageWeights(embed=embed, blocks=tuple(blocks)))
@@ -337,8 +337,8 @@ def stpt_block(x: ClipTensor, w: BlockWeights, cpe_enabled: bool = True) -> Clip
 
 
 def backbone_forward(x: ClipTensor, weights: ModelWeights, cfg: ModelConfig) -> BackboneOutput:
-    if x.channels != cfg.in_channels:
-        raise ConfigError(f"input has {x.channels} channels, config expects {cfg.in_channels}")
+    if x.channels != IN_CHANNELS:
+        raise ConfigError(f"input has {x.channels} channels, the model expects {IN_CHANNELS}")
     check_finite("input", x.data)
     outputs = []
     for si, sw in enumerate(weights.stages):

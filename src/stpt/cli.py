@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from .backbone import backbone_forward, init_model_weights
+from .backbone import IN_CHANNELS, backbone_forward, init_model_weights
 from .config import RunConfig, load_run_config, write_default_config
 from .costs import model_cost
 from .errors import ConfigError, InputError, StptError
@@ -41,13 +41,13 @@ def _load(args: argparse.Namespace) -> RunConfig:
 def cmd_describe(args: argparse.Namespace) -> int:
     cfg = _load(args)
     dims = cfg.model.stage_dims()
-    print(f"input: {cfg.model.input_dims} x {cfg.model.in_channels} channels, "
+    print(f"input: {cfg.model.input_dims} x {IN_CHANNELS} channels, "
           f"dtype {cfg.model.dtype}")
     for i, (spec, d) in enumerate(zip(cfg.model.stages, dims)):
         print(f"stage{i + 1}: kind={spec.kind:<6} out=({d[0]},{d[1]},{d[2]},{spec.channels})"
               f" depth={spec.depth} heads={spec.resolved_heads}"
               f" reduction={spec.reduction}")
-    lengths = pyramid_lengths(cfg.model, cfg.det)
+    lengths = pyramid_lengths(cfg.model)
     print(f"pyramid levels: {lengths}")
     print(f"anchors: {sum(lengths)}")
     return 0
@@ -67,15 +67,15 @@ def cmd_flops(args: argparse.Namespace) -> int:
 
 def _load_clip(cfg: RunConfig, rng: Rng) -> tuple[ClipTensor, str]:
     dtype = DTYPES[cfg.model.dtype]
-    want = cfg.model.input_dims + (cfg.model.in_channels,)
+    want = cfg.model.input_dims + (IN_CHANNELS,)
     if cfg.input_path:
         arr = read_tensor(cfg.input_path)
         if arr.shape != want:
-            raise InputError(f"input tensor shape {arr.shape} does not match "
-                             f"configured {want}")
+            raise InputError(f"input tensor {cfg.input_path}: shape {arr.shape} does not "
+                             f"match configured {want}")
         if arr.dtype != dtype:
-            raise InputError(f"input tensor dtype {arr.dtype} does not match "
-                             f"configured precision {cfg.model.dtype}")
+            raise InputError(f"input tensor {cfg.input_path}: dtype {arr.dtype} does not "
+                             f"match configured precision {cfg.model.dtype}")
         return ClipTensor(arr), cfg.input_path
     data = rng.child("input").normal(want, 0.0, 1.0).astype(dtype)
     return ClipTensor(data), "synth"

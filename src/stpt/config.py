@@ -50,10 +50,10 @@ import os
 from pathlib import Path
 
 from .attention import check_window
-from .backbone import ModelConfig, default_config, toy_config
+from .backbone import IN_CHANNELS, MLP_RATIO, ModelConfig, default_config, toy_config
 from .errors import ConfigError
 from .evaluation import EvalConfig, eval_profile
-from .heads import DetectionConfig
+from .heads import NUM_LEVELS, PYRAMID_CHANNELS, TOWER_DEPTH, DetectionConfig
 
 
 def _parse_bool(s: str) -> bool:
@@ -105,7 +105,7 @@ class RunConfig:
     seed: int
 
     def effective(self) -> dict:
-        """Every setting that influences a run, as plain JSON-safe values."""
+        """Every setting that influences a run, fixed ones included, as JSON-safe values."""
         stages = [
             {"channels": s.channels, "depth": s.depth, "kind": s.kind,
              "patch_kernel": list(s.patch_kernel), "patch_stride": list(s.patch_stride),
@@ -116,13 +116,13 @@ class RunConfig:
         ]
         return {
             "model": {"input_dims": list(self.model.input_dims),
-                      "in_channels": self.model.in_channels,
+                      "in_channels": IN_CHANNELS,
                       "cpe": self.model.cpe_enabled, "dtype": self.model.dtype,
-                      "mlp_ratio": self.model.mlp_ratio, "stages": stages},
+                      "mlp_ratio": MLP_RATIO, "stages": stages},
             "detection": {"profile": self.profile, "num_classes": self.det.num_classes,
-                          "pyramid_channels": self.det.pyramid_channels,
-                          "num_levels": self.det.num_levels,
-                          "tower_depth": self.det.tower_depth, "fps": self.det.clip_fps,
+                          "pyramid_channels": PYRAMID_CHANNELS,
+                          "num_levels": NUM_LEVELS,
+                          "tower_depth": TOWER_DEPTH, "fps": self.det.clip_fps,
                           "thresholds": list(self.eval_cfg.thresholds),
                           "display_thresholds": list(self.eval_cfg.display_thresholds),
                           "nms_mode": self.eval_cfg.nms_mode,

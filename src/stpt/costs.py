@@ -15,9 +15,9 @@ import dataclasses
 import math
 
 from .attention import PartitionRecord
-from .backbone import Extents, ModelConfig
+from .backbone import MLP_RATIO, Extents, ModelConfig
 from .errors import ConfigError
-from .heads import DetectionConfig, pyramid_lengths
+from .heads import NUM_LEVELS, PYRAMID_CHANNELS, TOWER_DEPTH, DetectionConfig, pyramid_lengths
 
 AUX_FLOPS_PER_ELEMENT = 5
 
@@ -135,7 +135,7 @@ class CostReport:
 
 def _head_lines(cfg: ModelConfig, det: DetectionConfig,
                 stage_dims: list[Extents]) -> list[CostLine]:
-    cp = det.pyramid_channels
+    cp = PYRAMID_CHANNELS
     k = det.num_classes
     lines = []
     for i, (dims, spec) in enumerate(zip(stage_dims[-2:], cfg.stages[-2:])):
@@ -143,16 +143,16 @@ def _head_lines(cfg: ModelConfig, det: DetectionConfig,
         macs = t * cp * (h * w * spec.channels)
         params = cp * spec.channels * h * w + cp
         lines.append(CostLine("pyramid", f"collapse{i}", "conv", macs, t * cp, params))
-    lengths = pyramid_lengths(cfg, det)
+    lengths = pyramid_lengths(cfg)
     down_macs = sum(t * cp * 3 * cp for t in lengths[2:])
     down_aux = sum(t * cp for t in lengths[2:])
-    down_params = (det.num_levels - 2) * (cp * cp * 3 + cp)
+    down_params = (NUM_LEVELS - 2) * (cp * cp * 3 + cp)
     lines.append(CostLine("pyramid", "downs", "conv", down_macs, down_aux, down_params))
 
     anchors = sum(lengths)
-    tower_macs = 2 * det.tower_depth * anchors * cp * 3 * cp
-    tower_aux = 2 * det.tower_depth * anchors * cp
-    tower_params = 2 * det.tower_depth * (cp * cp * 3 + cp)
+    tower_macs = 2 * TOWER_DEPTH * anchors * cp * 3 * cp
+    tower_aux = 2 * TOWER_DEPTH * anchors * cp
+    tower_params = 2 * TOWER_DEPTH * (cp * cp * 3 + cp)
     lines.append(CostLine("head", "towers", "conv", tower_macs, tower_aux, tower_params))
 
     predict_macs = anchors * k * 3 * cp + anchors * 2 * 3 * cp
@@ -197,7 +197,7 @@ def model_cost(cfg: ModelConfig, det_cfg: DetectionConfig | None = None) -> Cost
             ac = attention_cost(dims, c, spec.resolved_heads, spec.kind, window, spec.reduction)
             lines.append(CostLine(stage, unit, "attention", ac.total_macs,
                                   ac.softmax_elements, ac.params))
-            hidden = cfg.mlp_ratio * c
+            hidden = MLP_RATIO * c
             mlp_macs = pos * c * hidden + pos * hidden * c
             mlp_params = hidden * c + hidden + c * hidden + c
             lines.append(CostLine(stage, unit, "mlp", mlp_macs, pos * hidden, mlp_params))

@@ -27,30 +27,33 @@ from .tensor import (DTYPES, ClipTensor, Conv3DWeights, LinearWeights, Rng, chec
                      gelu, linear, sigmoid, softplus)
 
 
+# Fixed by the architecture, not by the config.
+PYRAMID_CHANNELS = 256  # channels of every pyramid level, tower and refinement layer
+NUM_LEVELS = 6  # the two stage-fed levels, then four stride-2 temporal levels
+TOWER_DEPTH = 2  # convolutions in each of the class and boundary towers
+
+
 @dataclasses.dataclass(frozen=True)
 class DetectionConfig:
+    """The head settings a config file sets: class count and clip frame rate."""
+
     num_classes: int = 20
-    pyramid_channels: int = 256
-    num_levels: int = 6
-    tower_depth: int = 2
     clip_fps: float = 10.0
 
     def __post_init__(self):
-        if self.num_levels < 2:
-            raise ConfigError("pyramid needs at least the two stage-fed levels")
-        if self.num_classes < 1 or self.pyramid_channels < 1:
-            raise ConfigError("num_classes and pyramid_channels must be positive")
+        if self.num_classes < 1:
+            raise ConfigError(f"num_classes must be positive, got {self.num_classes}")
         if not (0.0 < self.clip_fps < math.inf):
             raise ConfigError(f"fps must be finite and positive, got {self.clip_fps}")
 
 
-def pyramid_lengths(model_cfg: ModelConfig, det_cfg: DetectionConfig) -> list[int]:
+def pyramid_lengths(model_cfg: ModelConfig) -> list[int]:
     """Level lengths implied by the config alone: the fed stages' temporal
     extents, then ceil halving."""
     t3, t4 = (d[0] for d in model_cfg.stage_dims()[-2:])
     lengths = [t3, t4]
     t = t4
-    for _ in range(det_cfg.num_levels - 2):
+    for _ in range(NUM_LEVELS - 2):
         t = math.ceil(t / 2)
         lengths.append(t)
     return lengths
@@ -81,7 +84,6 @@ class RefinedPrediction:
     offsets: tuple[np.ndarray, ...]        # (T_m, 2) dimensionless boundary offsets
     cls_logits: tuple[np.ndarray, ...]     # (T_m, K)
     quality_logits: tuple[np.ndarray, ...]  # (T_m,)
-    clamped: tuple[np.ndarray, ...]        # (T_m,) True if any boundary sample was clamped
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,7 +111,7 @@ class HeadWeights:
 
 def init_head_weights(model_cfg: ModelConfig, det_cfg: DetectionConfig, rng: Rng) -> HeadWeights:
     dtype = DTYPES[model_cfg.dtype]
-    cp = det_cfg.pyramid_channels
+    cp = PYRAMID_CHANNELS
     dims = model_cfg.stage_dims()[-2:]
     chans = [s.channels for s in model_cfg.stages[-2:]]
     collapse = tuple(
@@ -119,15 +121,15 @@ def init_head_weights(model_cfg: ModelConfig, det_cfg: DetectionConfig, rng: Rng
     )
     downs = tuple(
         _init_conv(rng.child(f"down{i}"), cp, cp, (3, 1, 1), (2, 1, 1), (1, 0, 0), 1, dtype)
-        for i in range(det_cfg.num_levels - 2)
+        for i in range(NUM_LEVELS - 2)
     )
     tower_cls = tuple(
         _init_conv(rng.child(f"tower_cls{i}"), cp, cp, (3, 1, 1), (1, 1, 1), (1, 0, 0), 1, dtype)
-        for i in range(det_cfg.tower_depth)
+        for i in range(TOWER_DEPTH)
     )
     tower_loc = tuple(
         _init_conv(rng.child(f"tower_loc{i}"), cp, cp, (3, 1, 1), (1, 1, 1), (1, 0, 0), 1, dtype)
-        for i in range(det_cfg.tower_depth)
+        for i in range(TOWER_DEPTH)
     )
     cls_head = _init_conv(rng.child("cls_head"), cp, det_cfg.num_classes, (3, 1, 1),
                           (1, 1, 1), (1, 0, 0), 1, dtype)
@@ -195,18 +197,15 @@ def coarse_segments(pyr: FeaturePyramid, coarse: CoarsePrediction, m: int) -> np
     return np.stack([anchors - d[:, 0], anchors + d[:, 1]], axis=1)
 
 
-def _sample_level(feat: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Linear interpolation along the temporal axis at fractional positions.
-
-    Positions are clamped to [0, T-1]; the returned mask marks which were.
-    """
+def _sample_level(feat: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Linear interpolation along the temporal axis at fractional positions,
+    clamped to [0, T-1]."""
     t = feat.shape[0]
-    clamped = (pos < 0) | (pos > t - 1)
     pc = np.clip(pos, 0.0, float(t - 1))
     lo = np.floor(pc).astype(int)
     hi = np.minimum(lo + 1, t - 1)
     frac = (pc - lo)[:, None]
-    return (1.0 - frac) * feat[lo] + frac * feat[hi], clamped
+    return (1.0 - frac) * feat[lo] + frac * feat[hi]
 
 
 def refine(pyr: FeaturePyramid, coarse: CoarsePrediction, w: HeadWeights) -> RefinedPrediction:
@@ -215,18 +214,15 @@ def refine(pyr: FeaturePyramid, coarse: CoarsePrediction, w: HeadWeights) -> Ref
     Offsets are in level positions {-1, 0, +1}; the six C'-vectors are
     concatenated and passed through the refinement MLP.
     """
-    offsets, cls_logits, quality, clamped = [], [], [], []
+    offsets, cls_logits, quality = [], [], []
     for m, feat in enumerate(pyr.levels):
         segs = coarse_segments(pyr, coarse, m)
         scale = pyr.fps / pyr.strides[m]
         samples = []
-        clamp_any = np.zeros(feat.shape[0], dtype=bool)
         for b in range(2):
             center = segs[:, b] * scale - 0.5  # boundary time -> level position
             for off in (-1.0, 0.0, 1.0):
-                s, cl = _sample_level(feat, center + off)
-                samples.append(s)
-                clamp_any |= cl
+                samples.append(_sample_level(feat, center + off))
         stacked = np.concatenate(samples, axis=1).astype(feat.dtype)
         hidden = gelu(linear(stacked, w.refine_in))
         out = linear(hidden, w.refine_out)
@@ -234,9 +230,8 @@ def refine(pyr: FeaturePyramid, coarse: CoarsePrediction, w: HeadWeights) -> Ref
         offsets.append(out[:, :2])
         cls_logits.append(out[:, 2:-1])
         quality.append(out[:, -1])
-        clamped.append(clamp_any)
     return RefinedPrediction(offsets=tuple(offsets), cls_logits=tuple(cls_logits),
-                             quality_logits=tuple(quality), clamped=tuple(clamped))
+                             quality_logits=tuple(quality))
 
 
 def refine_segment(bs: np.ndarray, be: np.ndarray, ds: np.ndarray, de: np.ndarray):

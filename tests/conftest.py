@@ -1,13 +1,27 @@
-"""Shared fixtures: the acceptance-criteria reporter.
+"""Shared helpers: the acceptance-criteria reporter and child-process set-up.
 
 Each acceptance test records its criterion's outcome through the `criterion`
 fixture; the terminal summary then shows one PASS/FAIL line per criterion in
-every run, whether or not output capture is on.
+every run, whether or not output capture is on. Tests that start Python in a
+child process give it `src_env()`, so the child imports the same package.
 """
+
+import os
+from pathlib import Path
 
 import pytest
 
+import stpt
+
 _RESULTS: dict[int, tuple[bool, str]] = {}
+
+
+def src_env() -> dict[str, str]:
+    """The environment, with the imported package's directory first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(stpt.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

@@ -11,15 +11,15 @@ ratio clauses of that criterion hold.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import textwrap
 import time
 
 import numpy as np
+from conftest import src_env
 
-from stpt.attention import AttentionParams, ReductionSpec, WindowSpec, gsta_forward, lsta_forward
+from stpt.attention import AttentionParams, ReductionSpec, gsta_forward, lsta_forward
 from stpt.backbone import default_config
 from stpt.cli import main
 from stpt.costs import model_cost
@@ -50,7 +50,7 @@ def test_criterion_01_full_scale_stage_shapes(criterion):
             "finite": bool(all(np.isfinite(s.data).all() for s in out.stages)),
         }))
     """)
-    env = dict(os.environ, OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+    env = dict(src_env(), OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", NUMEXPR_NUM_THREADS="1",
                VECLIB_MAXIMUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -76,13 +76,12 @@ def _reduction(rng, c, ratios, dtype):
     return ReductionSpec(ratios=ratios, conv_k=conv(rng.child("k")), conv_v=conv(rng.child("v")))
 
 
-def _attn_params(rng, c, heads, kind, window, ratios, dtype):
+def _attn_params(rng, c, heads, window, ratios, dtype):
     return AttentionParams(
-        channels=c, heads=heads,
+        heads=heads,
         wq=_linear(rng.child("q"), c, dtype), wk=_linear(rng.child("k"), c, dtype),
         wv=_linear(rng.child("v"), c, dtype), wo=_linear(rng.child("o"), c, dtype),
-        kind=kind, reduction=_reduction(rng.child("red"), c, ratios, dtype),
-        window=WindowSpec(window) if window else None,
+        reduction=_reduction(rng.child("red"), c, ratios, dtype), window=window,
     )
 
 
@@ -106,11 +105,10 @@ def test_criterion_02_full_window_equivalence(criterion):
                     int(rng.child("w").integers(2, 13)))
             c = int(rng.child("c").integers(1, 4)) * 32
             heads = (2, 4)[int(rng.child("hd").integers(0, 2))]
-        local = _attn_params(rng.child("p"), c, heads, "local", dims, ratios, np.float32)
+        local = _attn_params(rng.child("p"), c, heads, dims, ratios, np.float32)
         # The global twin shares every weight, including the reductions.
-        glob = AttentionParams(channels=c, heads=heads, wq=local.wq, wk=local.wk,
-                               wv=local.wv, wo=local.wo, kind="global",
-                               reduction=local.reduction, window=None)
+        glob = AttentionParams(heads=heads, wq=local.wq, wk=local.wk, wv=local.wv,
+                               wo=local.wo, reduction=local.reduction, window=None)
         x = ClipTensor(rng.child("x").normal(dims + (c,)).astype(np.float32))
         a = lsta_forward(x, local).data
         b = gsta_forward(x, glob).data
@@ -127,7 +125,7 @@ def test_criterion_03_locality_isolation(criterion):
     rng = Rng(30)
     c, heads = 8, 2
     dims = (8, 8, 4)
-    p = _attn_params(rng.child("p"), c, heads, "local", (4, 4, 4), (2, 2, 2), np.float64)
+    p = _attn_params(rng.child("p"), c, heads, (4, 4, 4), (2, 2, 2), np.float64)
     x = rng.child("x").normal(dims + (c,))
     base = lsta_forward(ClipTensor(x), p).data
     exact = True

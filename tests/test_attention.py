@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from stpt import attention
-from stpt.attention import (AttentionParams, ReductionSpec, WindowSpec, gsta_forward,
-                            lsta_forward, merge_windows, partition_windows, reduce_kv)
+from stpt.attention import (AttentionParams, ReductionSpec, gsta_forward, lsta_forward,
+                            merge_windows, partition_windows, reduce_kv)
 from stpt.errors import ConfigError
 from stpt.tensor import ClipTensor, Conv3DWeights, LinearWeights, Rng, conv3d, softmax
 
@@ -25,13 +25,13 @@ def _reduction(rng, c, ratios, dtype):
     return ReductionSpec(ratios=ratios, conv_k=conv(rng.child("k")), conv_v=conv(rng.child("v")))
 
 
-def _params(rng, c, heads, kind, window=None, ratios=(1, 1, 1), dtype=np.float64):
+def _params(rng, c, heads, window=None, ratios=(1, 1, 1), dtype=np.float64):
+    """Local attention params over the given window; global when window is None."""
     return AttentionParams(
-        channels=c, heads=heads,
+        heads=heads,
         wq=_linear(rng.child("q"), c, dtype), wk=_linear(rng.child("k"), c, dtype),
         wv=_linear(rng.child("v"), c, dtype), wo=_linear(rng.child("o"), c, dtype),
-        kind=kind, reduction=_reduction(rng.child("red"), c, ratios, dtype),
-        window=WindowSpec(window) if window else None,
+        reduction=_reduction(rng.child("red"), c, ratios, dtype), window=window,
     )
 
 
@@ -57,7 +57,7 @@ def _naive_lsta(x: ClipTensor, p: AttentionParams) -> np.ndarray:
     """Per-token loops: window membership and key validity by arithmetic."""
     t, h, w = x.dims
     c, heads = p.channels, p.heads
-    ext, ratios = p.window.extents, p.reduction.ratios
+    ext, ratios = p.window, p.reduction.ratios
     tokens = x.tokens().astype(np.float64)
     q = _project(tokens, p.wq).reshape(t, h, w, c)
     k = _project(tokens, p.wk).reshape(t, h, w, c)
@@ -168,15 +168,15 @@ def test_reduction_identity_kernel_is_noop():
 def test_params_validation():
     rng = Rng(3)
     with pytest.raises(ConfigError, match="divisible"):
-        _params(rng, 6, 4, "global")
-    with pytest.raises(ConfigError, match="window"):
-        _params(rng, 8, 2, "local")  # local without window
+        _params(rng, 6, 4)
+    with pytest.raises(ConfigError, match="positive"):
+        _params(rng, 8, 2, window=(0, 2, 2), ratios=(2, 2, 2))
     with pytest.raises(ConfigError, match="multiple"):
-        _params(rng, 8, 2, "local", window=(3, 2, 2), ratios=(2, 2, 2))
-    p = _params(rng, 8, 2, "local", window=(2, 2, 2), ratios=(2, 2, 2))
+        _params(rng, 8, 2, window=(3, 2, 2), ratios=(2, 2, 2))
+    p = _params(rng, 8, 2, window=(2, 2, 2), ratios=(2, 2, 2))
     with pytest.raises(ConfigError):
         gsta_forward(ClipTensor(np.zeros((2, 2, 2, 8))), p)
-    g = _params(rng, 8, 2, "global", ratios=(2, 2, 2))
+    g = _params(rng, 8, 2, ratios=(2, 2, 2))
     with pytest.raises(ConfigError):
         lsta_forward(ClipTensor(np.zeros((2, 2, 2, 8))), g)
 
@@ -190,7 +190,7 @@ def test_params_validation():
 def test_lsta_matches_naive(dims, window, ratios, heads):
     rng = Rng(sum(dims))
     c = 8
-    p = _params(rng, c, heads, "local", window=window, ratios=ratios)
+    p = _params(rng, c, heads, window=window, ratios=ratios)
     x = ClipTensor(rng.child("x").normal(dims + (c,)))
     got = lsta_forward(x, p).data
     np.testing.assert_allclose(got, _naive_lsta(x, p), rtol=1e-10, atol=1e-12)
@@ -204,7 +204,7 @@ def test_lsta_matches_naive(dims, window, ratios, heads):
 def test_gsta_matches_naive(dims, ratios, heads):
     rng = Rng(11 + sum(dims))
     c = 8
-    p = _params(rng, c, heads, "global", ratios=ratios)
+    p = _params(rng, c, heads, ratios=ratios)
     x = ClipTensor(rng.child("x").normal(dims + (c,)))
     got = gsta_forward(x, p).data
     np.testing.assert_allclose(got, _naive_gsta(x, p), rtol=1e-10, atol=1e-12)
@@ -216,7 +216,7 @@ def test_full_window_lsta_equals_gsta():
         rng = Rng(100 + seed)
         c, heads = 16, 4
         dims = (6, 4, 4)
-        local = _params(rng, c, heads, "local", window=dims, ratios=(2, 2, 2),
+        local = _params(rng, c, heads, window=dims, ratios=(2, 2, 2),
                         dtype=np.float32)
         glob = dataclasses_replace_kind(local)
         x = ClipTensor(rng.child("x").normal(dims + (c,)).astype(np.float32))
@@ -226,9 +226,8 @@ def test_full_window_lsta_equals_gsta():
 
 
 def dataclasses_replace_kind(p: AttentionParams) -> AttentionParams:
-    return AttentionParams(channels=p.channels, heads=p.heads, wq=p.wq, wk=p.wk,
-                           wv=p.wv, wo=p.wo, kind="global", reduction=p.reduction,
-                           window=None)
+    return AttentionParams(heads=p.heads, wq=p.wq, wk=p.wk, wv=p.wv, wo=p.wo,
+                           reduction=p.reduction, window=None)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -239,7 +238,7 @@ def test_locality_perturbation_is_exactly_zero(dtype):
     rng = Rng(7)
     c, heads = 8, 2
     dims = (8, 4, 4)
-    p = _params(rng, c, heads, "local", window=(4, 4, 4), ratios=(2, 2, 2), dtype=dtype)
+    p = _params(rng, c, heads, window=(4, 4, 4), ratios=(2, 2, 2), dtype=dtype)
     x = rng.child("x").normal(dims + (c,)).astype(dtype)
     base = lsta_forward(ClipTensor(x), p).data
     for trial in range(10):
@@ -261,7 +260,7 @@ def test_interior_window_translation_equivariance():
     c, heads = 8, 2
     dims = (16, 4, 4)
     ext = (4, 4, 4)
-    p = _params(rng, c, heads, "local", window=ext, ratios=(2, 2, 2))
+    p = _params(rng, c, heads, window=ext, ratios=(2, 2, 2))
     x = rng.child("x").normal(dims + (c,))
     y1 = lsta_forward(ClipTensor(x), p).data
     y2 = lsta_forward(ClipTensor(np.roll(x, ext[0], axis=0)), p).data
@@ -274,9 +273,9 @@ def test_heads_change_the_result():
     rng = Rng(9)
     c = 8
     dims = (4, 4, 4)
-    p1 = _params(rng, c, 1, "global", ratios=(2, 2, 2))
-    p2 = AttentionParams(channels=c, heads=4, wq=p1.wq, wk=p1.wk, wv=p1.wv,
-                         wo=p1.wo, kind="global", reduction=p1.reduction)
+    p1 = _params(rng, c, 1, ratios=(2, 2, 2))
+    p2 = AttentionParams(heads=4, wq=p1.wq, wk=p1.wk, wv=p1.wv, wo=p1.wo,
+                         reduction=p1.reduction)
     x = ClipTensor(rng.child("x").normal(dims + (c,)))
     a = gsta_forward(x, p1).data
     b = gsta_forward(x, p2).data
@@ -285,7 +284,7 @@ def test_heads_change_the_result():
 
 def test_lsta_determinism():
     rng = Rng(10)
-    p = _params(rng, 8, 2, "local", window=(2, 2, 2), ratios=(2, 2, 2),
+    p = _params(rng, 8, 2, window=(2, 2, 2), ratios=(2, 2, 2),
                 dtype=np.float32)
     x = ClipTensor(rng.child("x").normal((5, 4, 3, 8)).astype(np.float32))
     a = lsta_forward(x, p).data
@@ -308,7 +307,7 @@ def test_global_attention_in_query_row_blocks_is_bit_identical(monkeypatch, dtyp
     # The default stage-3 global map: 2304 queries, 288 reduced keys, 4 heads.
     # A budget of 300 query rows splits the one window into 8 row blocks.
     c, heads = 384, 4
-    p = _params(Rng(40), c, heads, "global", ratios=(2, 2, 2), dtype=dtype)
+    p = _params(Rng(40), c, heads, ratios=(2, 2, 2), dtype=dtype)
     x = ClipTensor(Rng(41).normal((64, 6, 6, c)).astype(dtype))
     calls = _count_softmax(monkeypatch)
     monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", 1 << 40)
@@ -327,7 +326,7 @@ def test_local_attention_window_by_window_is_bit_identical(monkeypatch, dtype):
     # reduced frame of the second temporal window row. A budget of three
     # windows' scores runs them one at a time.
     c, heads = 192, 2
-    p = _params(Rng(42), c, heads, "local", window=(8, 6, 6), ratios=(2, 2, 2), dtype=dtype)
+    p = _params(Rng(42), c, heads, window=(8, 6, 6), ratios=(2, 2, 2), dtype=dtype)
     x = ClipTensor(Rng(43).normal((13, 12, 12, c)).astype(dtype))
     calls = _count_softmax(monkeypatch)
     monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", 1 << 40)

@@ -86,9 +86,9 @@ def test_stage_spec_validation():
     with pytest.raises(ConfigError, match="window"):
         StageSpec(channels=96, depth=2, kind="local", patch_kernel=(3, 3, 3),
                   patch_stride=(1, 1, 1), reduction=(1, 1, 1), windows=((8, 8, 8),))
-    with pytest.raises(ConfigError, match="heads"):
-        StageSpec(channels=100, depth=1, kind="global", patch_kernel=(3, 3, 3),
-                  patch_stride=(1, 1, 1), reduction=(1, 1, 1), heads=3)
+    with pytest.raises(ConfigError, match="heads"):  # 290 channels give 3 heads
+        StageSpec(channels=290, depth=1, kind="global", patch_kernel=(3, 3, 3),
+                  patch_stride=(1, 1, 1), reduction=(1, 1, 1))
 
 
 def test_model_config_validation():
@@ -110,10 +110,9 @@ def _zero_conv(c, kernel=(3, 3, 3), stride=(1, 1, 1), padding=(1, 1, 1), groups=
 
 def _zero_block(c, heads=1):
     attn = AttentionParams(
-        channels=c, heads=heads,
+        heads=heads,
         wq=_zero_linear(c, c), wk=_zero_linear(c, c),
         wv=_zero_linear(c, c), wo=_zero_linear(c, c),
-        kind="global",
         reduction=ReductionSpec(ratios=(1, 1, 1), conv_k=_zero_conv(c), conv_v=_zero_conv(c)),
     )
     return BlockWeights(
@@ -220,7 +219,7 @@ def test_f32_stages_track_the_f64_oracle(variant):
     for dtype, np_dtype in (("f32", np.float32), ("f64", np.float64)):
         cfg = toy_config(variant, dtype=dtype)
         weights = init_model_weights(cfg, Rng(3).child("model"))
-        clip = Rng(3).child("input").normal(cfg.input_dims + (cfg.in_channels,))
+        clip = Rng(3).child("input").normal(cfg.input_dims + (3,))
         out = backbone_forward(ClipTensor(clip.astype(np_dtype)), weights, cfg)
         stages[dtype] = [s.data for s in out.stages]
     for a32, a64 in zip(stages["f32"], stages["f64"]):
@@ -297,7 +296,7 @@ def test_blocked_mlp_and_depthwise_conv_are_bit_identical(monkeypatch, variant, 
     # (the floor) on every toy map; a huge budget gives one block each.
     cfg = toy_config(variant, dtype=dtype)
     weights = init_model_weights(cfg, Rng(3).child("model"))
-    clip = Rng(3).child("input").normal(cfg.input_dims + (cfg.in_channels,))
+    clip = Rng(3).child("input").normal(cfg.input_dims + (3,))
     x = ClipTensor(clip.astype(DTYPES[dtype]))
     rows = []
     monkeypatch.setattr(backbone, "gelu", lambda h: rows.append(len(h)) or gelu(h))
@@ -314,7 +313,7 @@ def test_blocked_mlp_and_depthwise_conv_are_bit_identical(monkeypatch, variant, 
     assert runs[1] == runs[1 << 40]
 
 
-def test_blocked_mlp_never_holds_the_hidden_map():
+def test_blocked_mlp_never_holds_the_hidden_map(monkeypatch):
     # With the default MLP ratio of 4 the attention part alone holds more than
     # four maps at once (the CPE sum, its norm, Q, K and V), so a ratio of 16
     # makes the hidden map the largest thing a whole-map MLP would hold:
@@ -322,7 +321,8 @@ def test_blocked_mlp_never_holds_the_hidden_map():
     dims, c = (16, 16, 16), 96
     spec = StageSpec(channels=c, depth=1, kind="local", patch_kernel=(1, 1, 1),
                      patch_stride=(1, 1, 1), reduction=(2, 8, 8), windows=((8, 8, 8),))
-    cfg = ModelConfig(stages=(spec,), input_dims=dims, in_channels=c, mlp_ratio=16)
+    monkeypatch.setattr(backbone, "MLP_RATIO", 16)
+    cfg = ModelConfig(stages=(spec,), input_dims=dims)
     bw = init_model_weights(cfg, Rng(7)).stages[0].blocks[0]
     x = ClipTensor(Rng(8).normal(dims + (c,)).astype(np.float32))
     hidden_bytes = math.prod(dims) * bw.mlp_in.out_channels * 4

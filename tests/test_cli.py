@@ -1,7 +1,6 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
 import json
-import os
 import re
 import shutil
 import struct
@@ -16,8 +15,8 @@ except ModuleNotFoundError:  # Python 3.10
 
 import numpy as np
 import pytest
+from conftest import src_env
 
-import stpt
 from stpt.cli import main
 from stpt.config import load_run_config
 from stpt.costs import model_cost
@@ -27,14 +26,6 @@ from stpt.tensor import write_tensor
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv("STPT_SEED", raising=False)
-
-
-def _src_env() -> dict[str, str]:
-    """The environment, with the imported package's directory first on PYTHONPATH."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(stpt.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
-    return env
 
 
 def _toy_ini(tmp_path, extra="", outdir="out"):
@@ -143,13 +134,15 @@ def test_forward_reads_tensor_input(tmp_path, capsys):
     write_tensor(wrong_shape, np.zeros((8, 24, 24, 3), dtype=np.float32))
     ini2 = _toy_ini(tmp_path, extra=f"input = {wrong_shape}\n")
     assert main(["forward", "--config", ini2]) == 3
-    assert "shape" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "shape" in err and "bad_shape.stpt" in err
 
     wrong_dtype = tmp_path / "bad_dtype.stpt"
     write_tensor(wrong_dtype, np.zeros((32, 24, 24, 3), dtype=np.float64))
     ini3 = _toy_ini(tmp_path, extra=f"input = {wrong_dtype}\n")
     assert main(["forward", "--config", ini3]) == 3
-    assert "dtype" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "dtype" in err and "bad_dtype.stpt" in err
 
 
 def test_forward_huge_tensor_dims_exit_3(tmp_path, capsys):
@@ -193,7 +186,7 @@ def test_forward_overflowing_input_exit_4(tmp_path, capsys):
 def test_forward_overflowing_input_prints_only_the_error(tmp_path):
     # pytest captures warnings in-process, so only a child process shows that no
     # numpy warning (or numpy source line) reaches stderr before the error.
-    env = _src_env()
+    env = src_env()
     env.pop("PYTHONWARNINGS", None)
     proc = subprocess.run([sys.executable, "-m", "stpt.cli", "forward", "--config",
                            _overflowing_input_ini(tmp_path)],
@@ -352,7 +345,7 @@ def _scipy_modules_after(*argvs: list[str]) -> list[str]:
              "    assert stpt.cli.main(argv) == 0, argv\n"
              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
     proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)],
-                          capture_output=True, text=True, env=_src_env())
+                          capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -362,7 +355,7 @@ def test_eval_flops_describe_and_init_config_leave_scipy_unloaded(tmp_path):
     # the normal inverse CDF need it.
     ini = _toy_ini(tmp_path)
     synth = subprocess.run([sys.executable, "-m", "stpt.cli", "synth", "--config", ini],
-                           capture_output=True, text=True, env=_src_env())
+                           capture_output=True, text=True, env=src_env())
     assert synth.returncode == 0, synth.stderr
     out = tmp_path / "out"
     assert _scipy_modules_after(
@@ -401,7 +394,7 @@ def test_console_script_is_installed(tmp_path):
     wrapper = (f"import sys\nfrom {module} import {func}\n"
                f"sys.argv[0] = 'stpt'\nsys.exit({func}())")
     runs.append(subprocess.run([sys.executable, "-c", wrapper, *args],
-                               capture_output=True, text=True, env=_src_env()))
+                               capture_output=True, text=True, env=src_env()))
     for proc in runs:
         assert proc.returncode == 0, proc.stderr
         assert "anchors: 17" in proc.stdout

@@ -218,7 +218,7 @@ def test_runtime_work_matches_model_cost(monkeypatch, variant):
         monkeypatch.setattr(backbone, name, enter(getattr(backbone, name), lambda a: a[1]))
 
     dtype = np.float32 if cfg.dtype == "f32" else np.float64
-    clip = ClipTensor(Rng(1).normal(cfg.input_dims + (cfg.in_channels,)).astype(dtype))
+    clip = ClipTensor(Rng(1).normal(cfg.input_dims + (3,)).astype(dtype))
     backbone_forward(clip, weights, cfg)
 
     expected = {(ln.stage, ln.unit, ln.part): [ln.macs, ln.aux_elements]

@@ -7,8 +7,8 @@ import pytest
 
 from stpt.backbone import backbone_forward, default_config, init_model_weights, toy_config
 from stpt.errors import ConfigError, InputError, NumericError
-from stpt.heads import (CoarsePrediction, DetectionCandidate, DetectionConfig,
-                        FeaturePyramid, RefinedPrediction, _sample_level,
+from stpt.heads import (PYRAMID_CHANNELS, CoarsePrediction, DetectionCandidate,
+                        DetectionConfig, FeaturePyramid, RefinedPrediction, _sample_level,
                         build_pyramid, coarse_segments, combine_scores, decode,
                         init_head_weights, predict_coarse, pyramid_lengths,
                         read_candidates, refine, refine_segment, write_candidates)
@@ -16,18 +16,16 @@ from stpt.tensor import ClipTensor, Rng, sigmoid, softplus
 
 
 def test_default_pyramid_lengths_and_anchor_count():
-    lengths = pyramid_lengths(default_config(), DetectionConfig())
+    lengths = pyramid_lengths(default_config())
     assert lengths == [64, 32, 16, 8, 4, 2]
     assert sum(lengths) == 126
 
 
 def test_toy_pyramid_lengths():
-    assert pyramid_lengths(toy_config(), DetectionConfig()) == [8, 4, 2, 1, 1, 1]
+    assert pyramid_lengths(toy_config()) == [8, 4, 2, 1, 1, 1]
 
 
 def test_detection_config_validation():
-    with pytest.raises(ConfigError):
-        DetectionConfig(num_levels=1)
     with pytest.raises(ConfigError):
         DetectionConfig(num_classes=0)
 
@@ -45,8 +43,8 @@ def _toy_pipeline(seed=0, variant="LLGG"):
 
 def test_build_pyramid_matches_predicted_lengths():
     cfg, det, hw, pyr = _toy_pipeline()
-    assert [lv.shape[0] for lv in pyr.levels] == pyramid_lengths(cfg, det)
-    assert all(lv.shape[1] == det.pyramid_channels for lv in pyr.levels)
+    assert [lv.shape[0] for lv in pyr.levels] == pyramid_lengths(cfg)
+    assert all(lv.shape[1] == PYRAMID_CHANNELS for lv in pyr.levels)
     # Strides are frames per anchor and double (in ratio) down the pyramid.
     assert pyr.strides[0] == cfg.input_dims[0] / pyr.levels[0].shape[0]
 
@@ -85,8 +83,8 @@ def test_zero_features_give_softplus_floor_distances():
     # Zero-bias weights on zero features: raw localization logits are zero,
     # so every distance is softplus(0) scaled by the level's anchor spacing.
     cfg, det, hw, _ = _toy_pipeline()
-    lengths = pyramid_lengths(cfg, det)
-    levels = tuple(np.zeros((t, det.pyramid_channels), dtype=np.float32) for t in lengths)
+    lengths = pyramid_lengths(cfg)
+    levels = tuple(np.zeros((t, PYRAMID_CHANNELS), dtype=np.float32) for t in lengths)
     strides = tuple(cfg.input_dims[0] / t for t in lengths)
     pyr = FeaturePyramid(levels=levels, strides=strides, fps=det.clip_fps)
     coarse = predict_coarse(pyr, hw)
@@ -101,8 +99,7 @@ def test_sample_level_matches_interp_oracle():
     rng = Rng(5)
     feat = rng.normal((7, 3))
     pos = np.array([-0.5, 0.0, 0.4, 2.7, 6.0, 8.2])
-    got, clamped = _sample_level(feat, pos)
-    np.testing.assert_array_equal(clamped, [True, False, False, False, False, True])
+    got = _sample_level(feat, pos)
     grid = np.arange(7, dtype=float)
     for c in range(3):
         want = np.interp(np.clip(pos, 0, 6), grid, feat[:, c])
@@ -137,8 +134,7 @@ def test_decode_zero_offsets_keep_coarse_segments():
                               distances=(dist,))
     refined = RefinedPrediction(offsets=(np.zeros((2, 2)),),
                                 cls_logits=(np.zeros((2, 2)),),
-                                quality_logits=(np.zeros(2),),
-                                clamped=(np.zeros(2, dtype=bool),))
+                                quality_logits=(np.zeros(2),))
     cands = decode(pyr, coarse, refined, video_id="v")
     segs = coarse_segments(pyr, coarse, 0)
     assert len(cands) == 2
@@ -159,32 +155,20 @@ def test_decode_drops_degenerate_segments():
     # First anchor's start is pushed past its end; second is untouched.
     refined = RefinedPrediction(offsets=(np.array([[2.5, 0.0], [0.0, 0.0]]),),
                                 cls_logits=(np.zeros((2, 2)),),
-                                quality_logits=(np.zeros(2),),
-                                clamped=(np.zeros(2, dtype=bool),))
+                                quality_logits=(np.zeros(2),))
     cands = decode(pyr, coarse, refined)
     assert [c.position for c in cands] == [1]
-
-
-def test_refine_flags_clamped_samples():
-    cfg, det, hw, pyr = _toy_pipeline()
-    coarse = predict_coarse(pyr, hw)
-    # Inflate the coarse distances so boundary samples fall outside the levels.
-    far = CoarsePrediction(cls_logits=coarse.cls_logits,
-                           distances=tuple(d + 1e3 for d in coarse.distances))
-    refined = refine(pyr, far, hw)
-    assert any(cl.any() for cl in refined.clamped)
-    near = refine(pyr, coarse, hw)
-    for m, off in enumerate(near.offsets):
-        assert off.shape == (pyr.levels[m].shape[0], 2)
-        assert near.cls_logits[m].shape[1] == det.num_classes
 
 
 def test_full_pipeline_decode():
     cfg, det, hw, pyr = _toy_pipeline(seed=3)
     coarse = predict_coarse(pyr, hw)
     refined = refine(pyr, coarse, hw)
+    for m, off in enumerate(refined.offsets):
+        assert off.shape == (pyr.levels[m].shape[0], 2)
+        assert refined.cls_logits[m].shape[1] == det.num_classes
     cands = decode(pyr, coarse, refined, video_id="clip0")
-    assert 0 < len(cands) <= sum(pyramid_lengths(cfg, det))
+    assert 0 < len(cands) <= sum(pyramid_lengths(cfg))
     for c in cands:
         assert c.t_start < c.t_end
         assert 0 <= c.class_id < det.num_classes
