@@ -3,7 +3,8 @@
 Subcommands: describe, flops, forward, gradcheck, eval, synth. Every command is
 deterministic given the config file, the seed, and the inputs; forward writes a
 manifest recording the seed, the config hash, and the produced shapes. Exit
-codes: 0 success, 2 configuration error, 3 input-data error, 4 numeric failure.
+codes: 0 success, 2 configuration error, 3 input-data error, 4 numeric failure,
+5 out of memory.
 """
 
 from __future__ import annotations
@@ -227,6 +228,10 @@ def main(argv: list[str] | None = None) -> int:
     except StptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:
+        # numpy names the shape it could not allocate; the traceback adds nothing.
+        print(f"error: {args.command}: out of memory: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -34,10 +34,10 @@ Grammar (INI style, all keys optional):
     precision = f32 | f64
 
 Out-of-range values are rejected: [detection] fps must be finite and positive,
-top_k at least 1, nms_threshold in [0, 1] and nms_sigma positive; the seed
-must be non-negative; every extent of a local block's window, including the
-late-stage windows that the default layout derives, must be a multiple of
-its stage's reduction ratio.
+top_k at least 1, nms_threshold in [0, 1] and nms_sigma finite and positive;
+the seed must be non-negative; every extent of a local block's window,
+including the late-stage windows that the default layout derives, must be a
+multiple of its stage's reduction ratio.
 """
 
 from __future__ import annotations

@@ -21,6 +21,10 @@ from .heads import (_RECORD_ERRORS, DetectionCandidate, _check_segment, _class_i
                     _json_records, _number, _text)
 from .tensor import Rng
 
+# Rows of soft-NMS's tIoU table per `tiou` call: one call for the whole table
+# would hold several n x n temporaries at once.
+_NMS_TABLE_ROWS = 8
+
 
 def _overlap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Intersection and union lengths of [start, end) segments in the last axis."""
@@ -60,8 +64,8 @@ class EvalConfig:
             raise ConfigError(f"top_k must be at least 1, got {self.top_k}")
         if not (0.0 <= self.nms_threshold <= 1.0):
             raise ConfigError(f"nms_threshold must lie in [0, 1], got {self.nms_threshold}")
-        if not (self.nms_sigma > 0.0):
-            raise ConfigError(f"nms_sigma must be positive, got {self.nms_sigma}")
+        if not (0.0 < self.nms_sigma < np.inf):
+            raise ConfigError(f"nms_sigma must be finite and positive, got {self.nms_sigma}")
 
 
 def eval_profile(name: str) -> EvalConfig:
@@ -77,34 +81,49 @@ def eval_profile(name: str) -> EvalConfig:
 
 def soft_nms(cands: list[DetectionCandidate], mode: str = "linear",
              threshold: float = 0.5, sigma: float = 0.5) -> list[DetectionCandidate]:
-    """Iteratively select the top candidate and decay the overlapping rest.
+    """Soft-NMS (Bodla et al., 2017): select the top candidate, decay the overlapping rest.
 
     Linear mode decays s <- s * (1 - tIoU) when tIoU exceeds the threshold;
     gaussian mode decays every remaining candidate by exp(-tIoU^2 / sigma).
-    All candidates are returned, rescored, in selection (descending) order.
-    Ties on score break toward the earlier t_start, then input order: rows are
-    kept in (t_start, input) order, so the first maximum score is the pick.
+    All candidates are returned, rescored, in selection (descending) order; a
+    group of one is returned as it is. Ties on score break toward the earlier
+    t_start, then input order: rows are kept in (t_start, input) order, so the
+    first maximum score is the pick. Scores must be finite, as `read_candidates`
+    and `decode` guarantee: a picked row is marked with -inf.
+
+    The group's n x n tIoU table (n^2 * 8 bytes) is built once, `_NMS_TABLE_ROWS`
+    rows per `tiou` call. Row k holds tIoU(row i, row k) from the same operands
+    as a `tiou` against the pick k alone, and each decay is the same elementwise
+    expression, so every score keeps the bits of a one-pick-at-a-time loop.
+    Zeroing a picked column keeps later decays off its -inf score.
     """
     if mode not in ("linear", "gaussian"):
         raise ConfigError(f"soft_nms mode must be linear or gaussian, got {mode!r}")
+    if len(cands) <= 1:
+        return list(cands)
     cands = sorted(cands, key=lambda c: c.t_start)
-    rows = np.array([(c.t_start, c.t_end, c.score) for c in cands], dtype=np.float64)
-    alive = list(range(len(cands)))
-    out = []
-    while alive:
-        scores = rows[:, 2].tolist()
-        k = max(alive, key=scores.__getitem__)
-        alive.remove(k)
-        out.append(dataclasses.replace(cands[k], score=scores[k]))
-        if not alive:
+    n = len(cands)
+    seg = np.array([(c.t_start, c.t_end) for c in cands], dtype=np.float64)
+    s = np.array([c.score for c in cands], dtype=np.float64)
+    ov = np.empty((n, n))
+    for i in range(0, n, _NMS_TABLE_ROWS):
+        ov[i:i + _NMS_TABLE_ROWS] = tiou(seg[None, :, :], seg[i:i + _NMS_TABLE_ROWS, None, :])
+    picked = []
+    while True:
+        k = int(s.argmax())
+        picked.append((k, float(s[k])))
+        if len(picked) == n:
             break
-        # Every row is decayed, so all arrays keep one size; picked rows are not read again.
-        ov = tiou(rows[:, :2], rows[k, :2])
+        s[k] = -np.inf
+        ov[:, k] = 0.0
+        o = ov[k]
         if mode == "linear":
-            rows[:, 2] = np.where(ov > threshold, rows[:, 2] * (1.0 - ov), rows[:, 2])
+            s = np.where(o > threshold, s * (1.0 - o), s)
         else:
-            rows[:, 2] *= np.exp(-(ov ** 2) / sigma)
-    return out
+            # A tiny sigma overflows the quotient to inf; exp(-inf) = 0 is its limit.
+            with np.errstate(over="ignore"):
+                s *= np.exp(-(o ** 2) / sigma)
+    return [dataclasses.replace(cands[k], score=sc) for k, sc in picked]
 
 
 def average_precision(preds: list[tuple[str, float, float, float]],

@@ -20,7 +20,9 @@ from conftest import src_env
 from stpt.cli import main
 from stpt.config import load_run_config
 from stpt.costs import model_cost
-from stpt.tensor import write_tensor
+from stpt.evaluation import GroundTruthInstance, write_ground_truth
+from stpt.heads import DetectionCandidate, write_candidates
+from stpt.tensor import Rng, write_tensor
 
 
 @pytest.fixture(autouse=True)
@@ -195,6 +197,41 @@ def test_forward_overflowing_input_prints_only_the_error(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: stage1 block0: non-finite"), proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_forward_out_of_memory_exit_5(tmp_path, capsys, monkeypatch):
+    message = ("Unable to allocate 122. GiB for an array with shape (256, 384, 1, 576, 576) "
+               "and data type float32")
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(Rng, "truncated_normal", no_memory)
+    assert main(["forward", "--config", _toy_ini(tmp_path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: forward: out of memory: {message}"]
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_gaussian_tiny_sigma_prints_only_the_table(tmp_path):
+    # tIoU^2 / 1e-310 overflows; the decay takes exp(-inf) = 0 without a numpy warning.
+    preds, gts = tmp_path / "preds.jsonl", tmp_path / "gts.jsonl"
+    write_candidates(preds, [
+        DetectionCandidate(t_start=ts, t_end=te, class_id=0, score=s, level=0, position=i,
+                           video_id="v")
+        for i, (ts, te, s) in enumerate([(0.0, 10.0, 0.9), (1.0, 11.0, 0.8), (20.0, 30.0, 0.7)])])
+    write_ground_truth(gts, [GroundTruthInstance(video_id="v", t_start=0.0, t_end=10.0,
+                                                 class_id=0)])
+    ini = _toy_ini(tmp_path, extra="[detection]\nnms_mode = gaussian\nnms_sigma = 1e-310\n")
+    env = src_env()
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "stpt.cli", "eval", "--config", ini,
+                           "--preds", str(preds), "--gts", str(gts)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1].split() == ["Avg", "100.00"]
 
 
 @pytest.mark.parametrize("command", ["forward", "synth"])

@@ -59,6 +59,8 @@ def test_unknown_key_rejected(tmp_path):
     ("[detection]\nnms_threshold = nan\n", "nms_threshold"),
     ("[detection]\nnms_mode = gaussian\nnms_sigma = 0\n", "nms_sigma"),
     ("[detection]\nnms_sigma = nan\n", "nms_sigma"),
+    ("[detection]\nnms_mode = gaussian\nnms_sigma = inf\n", "nms_sigma"),
+    ("[detection]\nnms_sigma = 1e400\n", "nms_sigma"),
     ("[run]\nseed = -1\n", "seed"),
     ("[model]\nlsta_temporal = 0,8,16\n", "window"),
     # Windows that the reduction ratios do not divide, which attention rejects:

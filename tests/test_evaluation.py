@@ -1,12 +1,15 @@
 """Soft suppression, AP, and the synthetic closure loop."""
 
+import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from stpt import evaluation
 from stpt.errors import ConfigError, InputError
 from stpt.evaluation import (EvalConfig, GroundTruthInstance, average_precision,
                              eval_profile, evaluate, oracle_predictions,
@@ -186,6 +189,96 @@ def test_soft_nms_tie_breaks():
 def test_soft_nms_mode_validation():
     with pytest.raises(ConfigError):
         soft_nms([], mode="hard")
+
+
+def _per_pick_soft_nms(cands, mode="linear", threshold=0.5, sigma=0.5):
+    # The oracle: soft_nms as it was before the tIoU table, one `tiou` per pick.
+    cands = sorted(cands, key=lambda c: c.t_start)
+    rows = np.array([(c.t_start, c.t_end, c.score) for c in cands], dtype=np.float64)
+    alive = list(range(len(cands)))
+    out = []
+    while alive:
+        scores = rows[:, 2].tolist()
+        k = max(alive, key=scores.__getitem__)
+        alive.remove(k)
+        out.append(dataclasses.replace(cands[k], score=scores[k]))
+        if not alive:
+            break
+        # Every row is decayed, so all arrays keep one size; picked rows are not read again.
+        ov = tiou(rows[:, :2], rows[k, :2])
+        if mode == "linear":
+            rows[:, 2] = np.where(ov > threshold, rows[:, 2] * (1.0 - ov), rows[:, 2])
+        else:
+            rows[:, 2] *= np.exp(-(ov ** 2) / sigma)
+    return out
+
+
+def _nms_group(n, seed=0):
+    """n candidates with shared starts, score ties, full ties and duplicate segments."""
+    rng = np.random.default_rng([seed, n])
+    starts = np.round(rng.uniform(0.0, 0.2 * n + 5.0, n), 1)
+    ends = starts + rng.uniform(1.0, 8.0, n)
+    scores = np.round(rng.uniform(0.05, 1.0, n), 1)
+    cands = [_cand(float(a), float(b), float(s), pos=i)
+             for i, (a, b, s) in enumerate(zip(starts, ends, scores))]
+    for i in range(1, n, 4):  # the segment of i - 1: tIoU exactly 1, and every 8th a full tie
+        prev = cands[i - 1]
+        score = prev.score if i % 8 == 1 else cands[i].score
+        cands[i] = _cand(prev.t_start, prev.t_end, score, pos=i)
+    return cands
+
+
+def _order_and_bytes(cands):
+    return ([c.position for c in cands], [np.float64(c.score).tobytes() for c in cands])
+
+
+@pytest.mark.parametrize("mode", ["linear", "gaussian"])
+@pytest.mark.parametrize("threshold", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 200, 257])
+def test_soft_nms_table_keeps_the_per_pick_bytes(mode, threshold, n):
+    cands = _nms_group(n)
+    with np.errstate(all="raise"):
+        got = soft_nms(cands, mode=mode, threshold=threshold, sigma=0.6)
+    want = _per_pick_soft_nms(cands, mode=mode, threshold=threshold, sigma=0.6)
+    assert _order_and_bytes(got) == _order_and_bytes(want)
+
+
+def test_soft_nms_group_of_one_returns_its_candidate():
+    c = _cand(1.0, 2.0, 0.7)
+    for mode in ("linear", "gaussian"):
+        got = soft_nms([c], mode=mode)
+        assert len(got) == 1 and got[0] is c
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_soft_nms_gaussian_tiny_sigma_decays_overlaps_to_zero():
+    # tIoU^2 / 1e-310 overflows to inf; exp(-inf) = 0 is the limit, without a warning.
+    cands = _nms_group(9)
+    got = soft_nms(cands, mode="gaussian", sigma=1e-310)
+    with np.errstate(over="ignore"):
+        want = _per_pick_soft_nms(cands, mode="gaussian", sigma=1e-310)
+    assert _order_and_bytes(got) == _order_and_bytes(want)
+    assert 0.0 in [c.score for c in got]
+
+
+def test_soft_nms_table_is_built_in_row_blocks(monkeypatch):
+    # One 200-candidate call: its table is 200 * 200 * 8 = 320 KB. Measured peaks
+    # are 381 KB with 8-row blocks and 1.33 MB with the table from one `tiou` call.
+    cands = _nms_group(200)
+
+    def peak():
+        soft_nms(cands)
+        tracemalloc.start()
+        try:
+            soft_nms(cands)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    bound = 480_000
+    assert peak() < bound
+    monkeypatch.setattr(evaluation, "_NMS_TABLE_ROWS", len(cands))
+    assert peak() > bound
 
 
 def test_average_precision_hand_cases():

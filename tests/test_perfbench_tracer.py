@@ -4,17 +4,21 @@
 weight fields (`resolved_heads`, `weights.stages[*].embed`, `AttentionParams.wo`,
 `attention_cost`'s arguments). A rename inside stpt would not fail the
 benchmark's run; it would zero a per-layer metric or a cost cross-check line.
-This test runs a traced toy forward per variant, as the benchmark does, and
-requires every layer to be timed and every cost line to agree.
+These tests run a traced toy forward per variant, as the benchmark does, and
+require every layer to be timed and every cost line to agree; a traced eval
+must count every soft-NMS group, AP call and record.
 """
 
 import importlib.util
+import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from stpt.cli import VARIANTS, main
+from stpt.config import load_run_config
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # Cost lines a toy forward compares: per block cpe, mlp, attention qkv,
@@ -59,3 +63,35 @@ def test_traced_toy_forward_times_every_layer_and_matches_the_cost_model(
             assert m[f"backbone.{stage}.{part}_s"] > 0, (stage, part)
         for part in tracer.ATTN_PARTS:
             assert m[f"attention.{stage}.{part}_s"] > 0, (stage, part)
+
+
+def test_traced_eval_counts_every_group_and_ap_call(tracer, tmp_path, monkeypatch):
+    # Three classes over four videos of six instances: (video, class) groups of one
+    # and larger groups, all of which pass through soft_nms.
+    monkeypatch.delenv("STPT_SEED", raising=False)
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[detection]\nnum_classes = 3\n[io]\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["synth", "--config", str(ini), "--videos", "4", "--instances", "6",
+                 "--jitter", "0.1"]) == 0
+    preds, gts = tmp_path / "out" / "preds.jsonl", tmp_path / "out" / "gts.jsonl"
+    records = [json.loads(line) for line in preds.read_text().splitlines()]
+    sizes = Counter((r["video_id"], r["class_id"]) for r in records).values()
+    assert 1 in sizes and max(sizes) > 2
+    gt_records = [json.loads(line) for line in gts.read_text().splitlines()]
+
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        code = main(["eval", "--config", str(ini), "--preds", str(preds), "--gts", str(gts)])
+    finally:
+        trace.uninstall()
+    assert code == 0
+    spans, model_cfg = trace.take()
+    m = tracer.op_metrics(spans, model_cfg, "eval", pytest.fail)
+    thresholds = load_run_config(str(ini)).eval_cfg.thresholds
+    gt_classes = {g["class_id"] for g in gt_records}
+    assert m["evaluation.soft_nms_calls"] == len(sizes)
+    assert m["evaluation.soft_nms_pairs"] == sum(n * (n - 1) // 2 for n in sizes)
+    assert m["evaluation.average_precision_calls"] == len(gt_classes) * len(thresholds)
+    assert m["eval.records"] == len(records) + len(gt_records)
+    assert m["evaluation.soft_nms_s"] > 0
