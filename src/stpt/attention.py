@@ -54,25 +54,27 @@ def check_window(extents: Extents, ratios: Extents, where: str = "") -> None:
 class ReductionSpec:
     """Depth-wise strided reduction of the K and V maps.
 
-    Two independent kernels (one for K, one for V), kernel 3 per axis, stride
-    equal to the reduction ratios, padding 1, so the reduced extent is
-    ceil(extent / ratio).
+    Two independent kernels (one for K, one for V), kernel 3 per axis,
+    padding 1 and one common stride. That stride is the reduction ratios
+    (`ratios`), so the reduced extent is ceil(extent / ratio).
     """
 
-    ratios: Extents
     conv_k: Conv3DWeights
     conv_v: Conv3DWeights
 
     def __post_init__(self):
-        if any(r < 1 for r in self.ratios):
-            raise ConfigError(f"reduction ratios must be positive, got {self.ratios}")
+        if self.conv_v.stride != self.conv_k.stride:
+            raise ConfigError(f"conv_v stride {self.conv_v.stride} must equal "
+                              f"conv_k stride {self.conv_k.stride}")
         for name, conv in (("conv_k", self.conv_k), ("conv_v", self.conv_v)):
             if conv.kernel != (3, 3, 3) or conv.padding != (1, 1, 1):
                 raise ConfigError(f"{name} must have kernel 3 and padding 1 per axis")
-            if conv.stride != self.ratios:
-                raise ConfigError(f"{name} stride {conv.stride} must equal ratios {self.ratios}")
             if not conv.depthwise:
                 raise ConfigError(f"{name} must be depth-wise with equal in/out channels")
+
+    @property
+    def ratios(self) -> Extents:
+        return self.conv_k.stride
 
 
 @dataclasses.dataclass(frozen=True)

@@ -44,24 +44,23 @@ MLP_BLOCK_BYTES = 3 * 1024 * 1024
 
 @dataclasses.dataclass(frozen=True)
 class StageSpec:
-    """One stage. Heads follow from the width; windows need positive extents here,
-    and `check_window`'s ratio rule is left to the config loader and attention."""
+    """One stage. Its windows say how it attends: one window per block makes it
+    local, None makes it global (see `kind`). Heads follow from the width;
+    windows need positive extents here, and `check_window`'s ratio rule is left
+    to the config loader and attention."""
 
     channels: int
     depth: int
-    kind: str  # "local" | "global"
     patch_kernel: Extents
     patch_stride: Extents
     reduction: Extents
-    windows: tuple[Extents, ...] | None = None  # one per block, local stages only
+    windows: tuple[Extents, ...] | None = None  # one per block; None means global
 
     def __post_init__(self):
-        if self.kind not in ("local", "global"):
-            raise ConfigError(f"stage kind must be local or global, got {self.kind!r}")
         if self.depth < 1:
             raise ConfigError("stage depth must be at least 1")
-        if self.kind == "local":
-            if self.windows is None or len(self.windows) != self.depth:
+        if self.windows is not None:
+            if len(self.windows) != self.depth:
                 raise ConfigError("local stage needs one window per block")
             if any(e < 1 for w in self.windows for e in w):
                 raise ConfigError(f"window extents must be positive, got {self.windows}")
@@ -71,19 +70,12 @@ class StageSpec:
             )
 
     @property
+    def kind(self) -> str:
+        return "global" if self.windows is None else "local"
+
+    @property
     def resolved_heads(self) -> int:
         return max(1, self.channels // HEAD_CHANNELS)
-
-
-def _embedded_extents(input_dims: Extents,
-                      kernels_strides: list[tuple[Extents, Extents]]) -> list[Extents]:
-    """Map extents after each of a chain of patch embeddings (padding kernel // 2)."""
-    dims = input_dims
-    out = []
-    for kernel, stride in kernels_strides:
-        dims = tuple(conv_output_extent(n, k, s, k // 2) for n, k, s in zip(dims, kernel, stride))
-        out.append(dims)
-    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,9 +94,14 @@ class ModelConfig:
         self.stage_dims()
 
     def stage_dims(self) -> list[Extents]:
-        """Feature-map extents after each stage's patch embedding."""
-        return _embedded_extents(self.input_dims,
-                                 [(s.patch_kernel, s.patch_stride) for s in self.stages])
+        """Feature-map extents after each stage's patch embedding (padding kernel // 2)."""
+        dims = self.input_dims
+        out = []
+        for s in self.stages:
+            dims = tuple(conv_output_extent(n, k, st, k // 2)
+                         for n, k, st in zip(dims, s.patch_kernel, s.patch_stride))
+            out.append(dims)
+        return out
 
     def stage_in_channels(self) -> list[int]:
         return [IN_CHANNELS] + [s.channels for s in self.stages[:-1]]
@@ -120,51 +117,36 @@ def default_config(
     """The standard four-stage layout.
 
     variant is one letter per stage, L for local windowed attention, G for
-    global. lsta_temporal optionally overrides the temporal window extents of
-    the three early local blocks (stage-1 block and both stage-2 blocks), which
-    is the knob the cost sweep exercises.
+    global; a stage is local exactly when it is given windows. Stages 1 and 2
+    have set windows, and lsta_temporal optionally overrides their temporal
+    extents (the stage-1 block and both stage-2 blocks), which is the knob
+    the cost sweep exercises. A late stage switched to local gets a
+    temporal-8 window over its full (small) spatial extent.
     """
     if len(variant) != 4 or any(ch not in "LG" for ch in variant):
         raise ConfigError(f"variant must be four letters from {{L, G}}, got {variant!r}")
-    t1, t2a, t2b = lsta_temporal if lsta_temporal is not None else (8, 8, 16)
-    base = [
-        dict(channels=96, depth=1, patch_kernel=(3, 7, 7), patch_stride=(2, 4, 4),
-             reduction=(2, 8, 8), windows=((t1, 8, 8),)),
-        dict(channels=192, depth=2, patch_kernel=(3, 3, 3), patch_stride=(1, 2, 2),
-             reduction=(2, 2, 2), windows=((t2a, 6, 6), (t2b, 4, 4))),
-        dict(channels=384, depth=11, patch_kernel=(3, 3, 3), patch_stride=(2, 2, 2),
-             reduction=(2, 2, 2), windows=None),
-        dict(channels=768, depth=2, patch_kernel=(3, 3, 3), patch_stride=(2, 2, 2),
-             reduction=(1, 1, 1), windows=None),
-    ]
-    # Late stages switched to local get a temporal-8 window over their full
-    # (small) spatial extent.
-    stage_dims = _embedded_extents(input_dims,
-                                   [(s["patch_kernel"], s["patch_stride"]) for s in base])
-    stages = []
-    for i, (spec, letter) in enumerate(zip(base, variant)):
-        kind = "local" if letter == "L" else "global"
-        windows = spec["windows"] if kind == "local" else None
-        if kind == "local" and windows is None:
-            t_s, h_s, w_s = stage_dims[i]
-            windows = ((min(8, t_s), h_s, w_s),) * spec["depth"]
-        stages.append(
-            StageSpec(
-                channels=spec["channels"],
-                depth=spec["depth"],
-                kind=kind,
-                patch_kernel=spec["patch_kernel"],
-                patch_stride=spec["patch_stride"],
-                reduction=spec["reduction"],
-                windows=windows,
-            )
-        )
-    return ModelConfig(
-        stages=tuple(stages),
-        input_dims=input_dims,
-        cpe_enabled=cpe_enabled,
-        dtype=dtype,
+    base = ModelConfig(
+        stages=(
+            StageSpec(channels=96, depth=1, patch_kernel=(3, 7, 7), patch_stride=(2, 4, 4),
+                      reduction=(2, 8, 8)),
+            StageSpec(channels=192, depth=2, patch_kernel=(3, 3, 3), patch_stride=(1, 2, 2),
+                      reduction=(2, 2, 2)),
+            StageSpec(channels=384, depth=11, patch_kernel=(3, 3, 3), patch_stride=(2, 2, 2),
+                      reduction=(2, 2, 2)),
+            StageSpec(channels=768, depth=2, patch_kernel=(3, 3, 3), patch_stride=(2, 2, 2),
+                      reduction=(1, 1, 1)),
+        ),
+        input_dims=input_dims, cpe_enabled=cpe_enabled, dtype=dtype,
     )
+    t1, t2a, t2b = lsta_temporal if lsta_temporal is not None else (8, 8, 16)
+    windows = [((t1, 8, 8),), ((t2a, 6, 6), (t2b, 4, 4))] + [
+        ((min(8, t), h, w),) * s.depth
+        for s, (t, h, w) in zip(base.stages[2:], base.stage_dims()[2:])
+    ]
+    return dataclasses.replace(base, stages=tuple(
+        dataclasses.replace(s, windows=w) if letter == "L" else s
+        for s, w, letter in zip(base.stages, windows, variant)
+    ))
 
 
 def toy_config(variant: str = "LLGG", cpe_enabled: bool = True, dtype: str = "f32") -> ModelConfig:
@@ -239,7 +221,7 @@ def _init_reduction(rng: Rng, channels: int, ratios: Extents, dtype) -> Reductio
                         (1, 1, 1), channels, dtype)
     conv_v = _init_conv(rng.child("rv"), channels, channels, (3, 3, 3), ratios,
                         (1, 1, 1), channels, dtype)
-    return ReductionSpec(ratios=ratios, conv_k=conv_k, conv_v=conv_v)
+    return ReductionSpec(conv_k=conv_k, conv_v=conv_v)
 
 
 def init_attention(rng: Rng, spec: StageSpec, window: Extents | None, dtype) -> AttentionParams:
@@ -274,7 +256,7 @@ def init_model_weights(cfg: ModelConfig, rng: Rng) -> ModelWeights:
         for bi in range(spec.depth):
             brng = srng.child(f"block{bi}")
             c = spec.channels
-            window = spec.windows[bi] if spec.kind == "local" else None
+            window = spec.windows[bi] if spec.windows else None
             blocks.append(
                 BlockWeights(
                     cpe=_init_conv(brng.child("cpe"), c, c, (3, 3, 3), (1, 1, 1),

@@ -3,8 +3,8 @@
 Subcommands: describe, flops, forward, gradcheck, eval, synth. Every command is
 deterministic given the config file, the seed, and the inputs; forward writes a
 manifest recording the seed, the config hash, and the produced shapes. Exit
-codes: 0 success, 2 configuration error, 3 input-data error, 4 numeric failure,
-5 out of memory.
+codes: 0 success, 2 configuration error (an output path that cannot be
+written included), 3 input-data error, 4 numeric failure, 5 out of memory.
 """
 
 from __future__ import annotations
@@ -232,6 +232,12 @@ def main(argv: list[str] | None = None) -> int:
         # numpy names the shape it could not allocate; the traceback adds nothing.
         print(f"error: {args.command}: out of memory: {exc}", file=sys.stderr)
         return 5
+    except OSError as exc:
+        # Reads already turn an OSError into an input or config error, so this
+        # is a path that cannot be written, such as an output_dir under a file;
+        # the OS message names it.
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

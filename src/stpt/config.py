@@ -106,14 +106,8 @@ class RunConfig:
 
     def effective(self) -> dict:
         """Every setting that influences a run, fixed ones included, as JSON-safe values."""
-        stages = [
-            {"channels": s.channels, "depth": s.depth, "kind": s.kind,
-             "patch_kernel": list(s.patch_kernel), "patch_stride": list(s.patch_stride),
-             "reduction": list(s.reduction),
-             "windows": [list(w) for w in s.windows] if s.windows else None,
-             "heads": s.resolved_heads}
-            for s in self.model.stages
-        ]
+        stages = [{**dataclasses.asdict(s), "kind": s.kind, "heads": s.resolved_heads}
+                  for s in self.model.stages]
         return {
             "model": {"input_dims": list(self.model.input_dims),
                       "in_channels": IN_CHANNELS,
@@ -123,12 +117,7 @@ class RunConfig:
                           "pyramid_channels": PYRAMID_CHANNELS,
                           "num_levels": NUM_LEVELS,
                           "tower_depth": TOWER_DEPTH, "fps": self.det.clip_fps,
-                          "thresholds": list(self.eval_cfg.thresholds),
-                          "display_thresholds": list(self.eval_cfg.display_thresholds),
-                          "nms_mode": self.eval_cfg.nms_mode,
-                          "nms_threshold": self.eval_cfg.nms_threshold,
-                          "nms_sigma": self.eval_cfg.nms_sigma,
-                          "top_k": self.eval_cfg.top_k},
+                          **dataclasses.asdict(self.eval_cfg)},
             # output_dir is a pure sink: it never affects computed values, so
             # it stays out of the hash. The input path does affect them.
             "io": {"input": self.input_path or ""},
@@ -212,18 +201,12 @@ def load_run_config(path: str | None = None, variant: str | None = None) -> RunC
     # Attention rejects a local window that its stage's reduction ratios do
     # not divide; checking here makes flops and describe reject it as forward does.
     for si, spec in enumerate(model.stages):
-        for bi, window in enumerate(spec.windows if spec.kind == "local" else ()):
+        for bi, window in enumerate(spec.windows or ()):
             check_window(window, spec.reduction, f"stage{si + 1} block{bi}: ")
 
     profile = dv["profile"]
-    eval_cfg = eval_profile(profile)
-    overrides = {}
-    for key, field in (("top_k", "top_k"), ("nms_mode", "nms_mode"),
-                       ("nms_threshold", "nms_threshold"), ("nms_sigma", "nms_sigma")):
-        if key in dv:
-            overrides[field] = dv[key]
-    if overrides:
-        eval_cfg = dataclasses.replace(eval_cfg, **overrides)
+    eval_cfg = dataclasses.replace(eval_profile(profile), **{
+        key: dv[key] for key in ("top_k", "nms_mode", "nms_threshold", "nms_sigma") if key in dv})
     det = DetectionConfig(num_classes=dv["num_classes"], clip_fps=dv["fps"])
 
     input_path = iov["input"] or None

@@ -193,7 +193,7 @@ def model_cost(cfg: ModelConfig, det_cfg: DetectionConfig | None = None) -> Cost
             if cfg.cpe_enabled:
                 lines.append(CostLine(stage, unit, "cpe", pos * c * 27, 0, 27 * c + c))
             lines.append(CostLine(stage, unit, "norm", 0, 2 * pos * c, 4 * c))
-            window = spec.windows[bi] if spec.kind == "local" else None
+            window = spec.windows[bi] if spec.windows else None
             ac = attention_cost(dims, c, spec.resolved_heads, spec.kind, window, spec.reduction)
             lines.append(CostLine(stage, unit, "attention", ac.total_macs,
                                   ac.softmax_elements, ac.params))

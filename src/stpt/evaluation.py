@@ -111,7 +111,7 @@ def soft_nms(cands: list[DetectionCandidate], mode: str = "linear",
     picked = []
     while True:
         k = int(s.argmax())
-        picked.append((k, float(s[k])))
+        picked.append((cands[k], float(s[k])))
         if len(picked) == n:
             break
         s[k] = -np.inf
@@ -123,7 +123,9 @@ def soft_nms(cands: list[DetectionCandidate], mode: str = "linear",
             # A tiny sigma overflows the quotient to inf; exp(-inf) = 0 is its limit.
             with np.errstate(over="ignore"):
                 s *= np.exp(-(o ** 2) / sigma)
-    return [dataclasses.replace(cands[k], score=sc) for k, sc in picked]
+    # Positional construction takes half the time of `dataclasses.replace`.
+    return [DetectionCandidate(c.t_start, c.t_end, c.class_id, sc, c.level, c.position, c.video_id)
+            for c, sc in picked]
 
 
 def average_precision(preds: list[tuple[str, float, float, float]],

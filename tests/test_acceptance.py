@@ -73,7 +73,7 @@ def _reduction(rng, c, ratios, dtype):
         return Conv3DWeights(weight=r.child("w").normal((c, 1, 3, 3, 3), 0.0, 0.2).astype(dtype),
                              bias=r.child("b").normal((c,), 0.0, 0.02).astype(dtype),
                              stride=ratios, padding=(1, 1, 1), groups=c)
-    return ReductionSpec(ratios=ratios, conv_k=conv(rng.child("k")), conv_v=conv(rng.child("v")))
+    return ReductionSpec(conv_k=conv(rng.child("k")), conv_v=conv(rng.child("v")))
 
 
 def _attn_params(rng, c, heads, window, ratios, dtype):

@@ -22,7 +22,7 @@ def _reduction(rng, c, ratios, dtype):
         return Conv3DWeights(weight=r.child("w").normal((c, 1, 3, 3, 3), 0.0, 0.2).astype(dtype),
                              bias=r.child("b").normal((c,), 0.0, 0.02).astype(dtype),
                              stride=ratios, padding=(1, 1, 1), groups=c)
-    return ReductionSpec(ratios=ratios, conv_k=conv(rng.child("k")), conv_v=conv(rng.child("v")))
+    return ReductionSpec(conv_k=conv(rng.child("k")), conv_v=conv(rng.child("v")))
 
 
 def _params(rng, c, heads, window=None, ratios=(1, 1, 1), dtype=np.float64):
@@ -158,11 +158,29 @@ def test_reduction_identity_kernel_is_noop():
     ident[:, 0, 1, 1, 1] = 1.0
     conv = Conv3DWeights(weight=ident, bias=np.zeros(c), stride=(1, 1, 1),
                          padding=(1, 1, 1), groups=c)
-    spec = ReductionSpec(ratios=(1, 1, 1), conv_k=conv, conv_v=conv)
+    spec = ReductionSpec(conv_k=conv, conv_v=conv)
     x = ClipTensor(Rng(2).normal((3, 4, 5, c)))
     kr, vr = reduce_kv(x, x, spec)
     np.testing.assert_allclose(kr.data, x.data, atol=1e-12)
     np.testing.assert_allclose(vr.data, x.data, atol=1e-12)
+
+
+def test_reduction_ratios_are_the_conv_stride():
+    c = 4
+
+    def conv(stride=(2, 1, 2), kernel=(3, 3, 3), padding=(1, 1, 1), groups=c):
+        return Conv3DWeights(weight=np.zeros((c, c // groups) + kernel), bias=np.zeros(c),
+                             stride=stride, padding=padding, groups=groups)
+
+    assert ReductionSpec(conv_k=conv(), conv_v=conv()).ratios == (2, 1, 2)
+    with pytest.raises(ConfigError, match="conv_v stride"):
+        ReductionSpec(conv_k=conv(), conv_v=conv(stride=(2, 2, 2)))
+    with pytest.raises(ConfigError, match="conv_k must have kernel 3"):
+        ReductionSpec(conv_k=conv(kernel=(1, 3, 3)), conv_v=conv())
+    with pytest.raises(ConfigError, match="conv_v must have kernel 3 and padding 1"):
+        ReductionSpec(conv_k=conv(), conv_v=conv(padding=(0, 1, 1)))
+    with pytest.raises(ConfigError, match="conv_k must be depth-wise"):
+        ReductionSpec(conv_k=conv(groups=1), conv_v=conv())
 
 
 def test_params_validation():

@@ -77,18 +77,22 @@ def test_toy_config_is_shallow():
 
 
 def test_stage_spec_validation():
-    with pytest.raises(ConfigError, match="kind"):
-        StageSpec(channels=96, depth=1, kind="mixed", patch_kernel=(3, 3, 3),
-                  patch_stride=(1, 1, 1), reduction=(1, 1, 1))
     with pytest.raises(ConfigError, match="depth"):
-        StageSpec(channels=96, depth=0, kind="global", patch_kernel=(3, 3, 3),
+        StageSpec(channels=96, depth=0, patch_kernel=(3, 3, 3),
                   patch_stride=(1, 1, 1), reduction=(1, 1, 1))
     with pytest.raises(ConfigError, match="window"):
-        StageSpec(channels=96, depth=2, kind="local", patch_kernel=(3, 3, 3),
+        StageSpec(channels=96, depth=2, patch_kernel=(3, 3, 3),
                   patch_stride=(1, 1, 1), reduction=(1, 1, 1), windows=((8, 8, 8),))
     with pytest.raises(ConfigError, match="heads"):  # 290 channels give 3 heads
-        StageSpec(channels=290, depth=1, kind="global", patch_kernel=(3, 3, 3),
+        StageSpec(channels=290, depth=1, patch_kernel=(3, 3, 3),
                   patch_stride=(1, 1, 1), reduction=(1, 1, 1))
+
+
+def test_stage_kind_follows_windows():
+    geometry = dict(channels=96, patch_kernel=(3, 3, 3), patch_stride=(1, 1, 1),
+                    reduction=(1, 1, 1))
+    assert StageSpec(depth=2, **geometry).kind == "global"
+    assert StageSpec(depth=2, windows=((8, 8, 8), (4, 4, 4)), **geometry).kind == "local"
 
 
 def test_model_config_validation():
@@ -113,7 +117,7 @@ def _zero_block(c, heads=1):
         heads=heads,
         wq=_zero_linear(c, c), wk=_zero_linear(c, c),
         wv=_zero_linear(c, c), wo=_zero_linear(c, c),
-        reduction=ReductionSpec(ratios=(1, 1, 1), conv_k=_zero_conv(c), conv_v=_zero_conv(c)),
+        reduction=ReductionSpec(conv_k=_zero_conv(c), conv_v=_zero_conv(c)),
     )
     return BlockWeights(
         cpe=_zero_conv(c),
@@ -319,7 +323,7 @@ def test_blocked_mlp_never_holds_the_hidden_map(monkeypatch):
     # makes the hidden map the largest thing a whole-map MLP would hold:
     # 4096 tokens x 1536 channels, 24 MiB in f32, eight times MLP_BLOCK_BYTES.
     dims, c = (16, 16, 16), 96
-    spec = StageSpec(channels=c, depth=1, kind="local", patch_kernel=(1, 1, 1),
+    spec = StageSpec(channels=c, depth=1, patch_kernel=(1, 1, 1),
                      patch_stride=(1, 1, 1), reduction=(2, 8, 8), windows=((8, 8, 8),))
     monkeypatch.setattr(backbone, "MLP_RATIO", 16)
     cfg = ModelConfig(stages=(spec,), input_dims=dims)

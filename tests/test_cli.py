@@ -280,6 +280,27 @@ def test_window_not_divisible_by_reduction_exit_2(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,target", [
+    ("forward", "afile"), ("forward", "afile/sub"), ("synth", "afile"), ("synth", "afile/sub"),
+    ("flops", "afile/x.txt"), ("init-config", "afile/x.ini"),
+])
+def test_unwritable_output_path_exit_2(tmp_path, capsys, command, target):
+    # A path under a regular file cannot be written, even by root.
+    (tmp_path / "afile").write_text("")
+    path = str(tmp_path / target)
+    if command in ("forward", "synth"):
+        argv = [command, "--config", _toy_ini(tmp_path, outdir=target)]
+    elif command == "flops":
+        argv = [command, "--config", _toy_ini(tmp_path), "--out", path]
+    else:
+        argv = [command, path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command}: ")
+    assert path in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_missing_eval_inputs_exit_code(tmp_path, capsys):
     assert main(["eval", "--preds", str(tmp_path / "nope.jsonl"),
                  "--gts", str(tmp_path / "nope2.jsonl")]) == 3

@@ -148,6 +148,15 @@ def test_config_hash_tracks_effective_settings(tmp_path):
     assert same == base
 
 
+def test_config_hash_literals(tmp_path):
+    # Pure JSON and SHA-256, so the same on every platform. A change that
+    # moves either hash must update it here and say why.
+    assert load_run_config(None).config_hash() == \
+        "7fd6fe93c1bb027a52b117f7e94590fa64f4a03f177cfdb0e3536f5f3ea9e07f"
+    assert load_run_config(_write(tmp_path, "[model]\npreset = toy\n")).config_hash() == \
+        "b5807972170d42fbaa0c5b326e63ff1a5e7439540249949ec24ba08277404ae9"
+
+
 # A valid value, other than the default, for every key of the schema.
 _NON_DEFAULT = {
     "model": {"preset": "toy", "frames": "128", "height": "64", "width": "64",

@@ -11,7 +11,7 @@ from stpt import attention, backbone, tensor
 from stpt.backbone import backbone_forward, default_config, init_model_weights, toy_config
 from stpt.costs import AUX_FLOPS_PER_ELEMENT, attention_cost, model_cost
 from stpt.errors import ConfigError
-from stpt.heads import DetectionConfig
+from stpt.heads import DetectionConfig, init_head_weights
 from stpt.tensor import ClipTensor, Rng
 
 
@@ -156,6 +156,57 @@ def test_head_cost_optional():
     assert with_head.total_flops > without.total_flops
     assert not any(ln.stage in ("pyramid", "head") for ln in without.lines)
     assert any(ln.stage == "head" for ln in with_head.lines)
+
+
+# (total_macs, total_aux_elements, total_params) of model_cost(cfg, DetectionConfig()).
+# Integer arithmetic, so the same on every platform; a change that moves any
+# of them must update it here and say why.
+_COST_TOTALS = {
+    ("default", "LLLL"): (92030436864, 152958204, 52973833),
+    ("default", "LLLG"): (92221539840, 153953532, 52973833),
+    ("default", "LLGG"): (97126516224, 179500284, 52973833),
+    ("default", "LGGG"): (129260127744, 346862844, 52973833),
+    ("default", "GGGG"): (137357231616, 389035260, 52973833),
+    ("toy", "LLLL"): (475079488, 736418, 24381385),
+    ("toy", "LLLG"): (475079488, 736418, 24381385),
+    ("toy", "LLGG"): (475079488, 736418, 24381385),
+    ("toy", "LGGG"): (468471616, 704162, 24381385),
+    ("toy", "GGGG"): (468569920, 704674, 24381385),
+}
+
+
+@pytest.mark.parametrize("preset,variant", sorted(_COST_TOTALS))
+def test_cost_totals_literals(preset, variant):
+    cfg = (default_config if preset == "default" else toy_config)(variant=variant)
+    report = model_cost(cfg, DetectionConfig())
+    got = (report.total_macs, report.total_aux_elements, report.total_params)
+    assert got == _COST_TOTALS[preset, variant]
+
+
+def _array_sizes(obj) -> int:
+    """Summed sizes of every array held by a tree of weight dataclasses and tuples."""
+    if isinstance(obj, np.ndarray):
+        return obj.size
+    if dataclasses.is_dataclass(obj):
+        return sum(_array_sizes(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    if isinstance(obj, tuple):
+        return sum(_array_sizes(x) for x in obj)
+    return 0
+
+
+@pytest.mark.parametrize("variant", ["LLLL", "LLLG", "LLGG", "LGGG", "GGGG"])
+def test_param_count_matches_drawn_weights(variant):
+    cfg, det = toy_config(variant=variant), DetectionConfig()
+    report = model_cost(cfg, det)
+    weights = init_model_weights(cfg, Rng(0))
+    head = init_head_weights(cfg, det, Rng(1))
+    for si, sw in enumerate(weights.stages):
+        stage = f"stage{si + 1}"
+        assert sum(ln.params for ln in report.lines if ln.stage == stage) == \
+            _array_sizes(sw), stage
+    assert sum(ln.params for ln in report.lines if ln.stage in ("pyramid", "head")) == \
+        _array_sizes(head)
+    assert report.total_params == _array_sizes(weights) + _array_sizes(head)
 
 
 @pytest.mark.parametrize("variant", ["LLLL", "LLLG", "LLGG", "LGGG", "GGGG"])
