@@ -12,9 +12,9 @@ at those call sites, so importing the package does not load it.
 
 from .attention import (AttentionParams, PartitionRecord, ReductionSpec, gsta_forward,
                         lsta_forward, merge_windows, partition_windows, reduce_kv)
-from .backbone import (BackboneOutput, BlockWeights, ModelConfig, ModelWeights,
-                       StageSpec, StageWeights, backbone_forward, default_config,
-                       init_model_weights, patch_embed, stpt_block, toy_config)
+from .backbone import (BlockWeights, ModelConfig, ModelWeights, StageSpec, StageWeights,
+                       backbone_forward, default_config, init_model_weights, patch_embed,
+                       stpt_block, toy_config)
 from .config import RunConfig, load_run_config, write_default_config
 from .costs import AttentionCost, CostLine, CostReport, attention_cost, model_cost
 from .errors import ConfigError, InputError, NumericError, StptError

@@ -224,17 +224,13 @@ def _attend(x: ClipTensor, p: AttentionParams, extents: Extents) -> ClipTensor:
     qw, rec = partition_windows(q, extents)
     del q
     red = rec.reduced(ratios)
-    # Reduce the padded K/V maps so the reduced grid tiles into exactly one
-    # reduced window per full-resolution window.
+    # Local extents are multiples of the ratios (check_window) and a global window is the
+    # whole map, so the reduced padded maps (red.orig) tile into red.counts == rec.counts.
     kred, vred = reduce_kv(ClipTensor(_pad_to(k, rec.padded)), ClipTensor(_pad_to(v, rec.padded)),
                            p.reduction)
     del k, v
-    kw, krec = partition_windows(kred.data, red.extents)
+    kw, _ = partition_windows(kred.data, red.extents)
     vw, _ = partition_windows(vred.data, red.extents)
-    if krec.counts != rec.counts:
-        raise ConfigError(
-            f"window grids misaligned: {rec.counts} full-resolution vs {krec.counts} reduced"
-        )
     valid = _reduced_valid_mask(rec.orig, red.orig, ratios)
     mask = None
     if not valid.all():
@@ -242,7 +238,7 @@ def _attend(x: ClipTensor, p: AttentionParams, extents: Extents) -> ClipTensor:
         mask = maskw[:, None, None, :, 0]  # (num_windows, 1, 1, reduced_window_tokens)
 
     heads, dh = p.heads, p.channels // p.heads
-    nwin, nq, nk = rec.num_windows, rec.window_tokens, krec.window_tokens
+    nwin, nq, nk = rec.num_windows, rec.window_tokens, red.window_tokens
     qw *= dh ** -0.5
     qh = qw.reshape(nwin, nq, heads, dh).transpose(0, 2, 1, 3)
     kt = kw.reshape(nwin, nk, heads, dh).transpose(0, 2, 3, 1)

@@ -1,12 +1,12 @@
 """Four-stage hierarchical backbone over clip tensors.
 
 Each stage is a strided patch embedding followed by a run of identical blocks.
-A block is: depth-wise conv positional encoding added residually, then
-pre-norm attention (local windowed in early stages, global in late stages),
-then a pre-norm MLP, all with residual connections. Patch embeddings carry the
-channel changes between stages; a block keeps its channel count.
-`backbone_forward` checks its input and every block output for non-finite
-values, naming the block as `stpt flops` labels it (`stage2 block1`).
+A block is: depth-wise conv positional encoding (CPE) added residually when the
+block has CPE weights, then pre-norm attention (local windowed in early stages,
+global in late stages), then a pre-norm MLP, all with residual connections.
+Patch embeddings carry the channel changes between stages; a block keeps its
+channel count. `backbone_forward` checks its input and every block output for
+non-finite values, naming the block as `stpt flops` labels it (`stage2 block1`).
 """
 
 from __future__ import annotations
@@ -176,7 +176,9 @@ class PatchEmbedWeights:
 
 @dataclasses.dataclass(frozen=True)
 class BlockWeights:
-    cpe: Conv3DWeights
+    """One block's weights; `cpe` is None in a block that runs no CPE."""
+
+    cpe: Conv3DWeights | None
     ln1: LayerNormWeights
     attn: AttentionParams
     ln2: LayerNormWeights
@@ -193,11 +195,6 @@ class StageWeights:
 @dataclasses.dataclass(frozen=True)
 class ModelWeights:
     stages: tuple[StageWeights, ...]
-
-
-@dataclasses.dataclass(frozen=True)
-class BackboneOutput:
-    stages: tuple[ClipTensor, ...]
 
 
 def _init_linear(rng: Rng, cin: int, cout: int, dtype) -> LinearWeights:
@@ -260,7 +257,7 @@ def init_model_weights(cfg: ModelConfig, rng: Rng) -> ModelWeights:
             blocks.append(
                 BlockWeights(
                     cpe=_init_conv(brng.child("cpe"), c, c, (3, 3, 3), (1, 1, 1),
-                                   (1, 1, 1), c, dtype),
+                                   (1, 1, 1), c, dtype) if cfg.cpe_enabled else None,
                     ln1=_init_ln(c, dtype),
                     attn=init_attention(brng.child("attn"), spec, window, dtype),
                     ln2=_init_ln(c, dtype),
@@ -293,8 +290,8 @@ def _mlp_residual(x: np.ndarray, w: BlockWeights) -> np.ndarray:
     return out
 
 
-def stpt_block(x: ClipTensor, w: BlockWeights, cpe_enabled: bool = True) -> ClipTensor:
-    """CPE, pre-norm attention and pre-norm MLP, each added residually.
+def stpt_block(x: ClipTensor, w: BlockWeights) -> ClipTensor:
+    """CPE when the block has CPE weights, pre-norm attention and pre-norm MLP, all residual.
 
     The MLP runs over token-row blocks whose hidden map is at most about
     MLP_BLOCK_BYTES (2048 rows on the default stage 1, in f32), written into
@@ -306,7 +303,7 @@ def stpt_block(x: ClipTensor, w: BlockWeights, cpe_enabled: bool = True) -> Clip
     """
     dims = x.dims
     c = x.channels
-    if cpe_enabled:
+    if w.cpe is not None:
         x = ClipTensor(x.data + conv3d(x, w.cpe).data)
     normed = layer_norm(x.tokens(), w.ln1.gamma, w.ln1.beta)
     nmap = ClipTensor(normed.reshape(dims + (c,)))
@@ -318,15 +315,18 @@ def stpt_block(x: ClipTensor, w: BlockWeights, cpe_enabled: bool = True) -> Clip
     return ClipTensor(out.reshape(dims + (c,)))
 
 
-def backbone_forward(x: ClipTensor, weights: ModelWeights, cfg: ModelConfig) -> BackboneOutput:
-    if x.channels != IN_CHANNELS:
-        raise ConfigError(f"input has {x.channels} channels, the model expects {IN_CHANNELS}")
+def backbone_forward(x: ClipTensor, weights: ModelWeights,
+                     cfg: ModelConfig) -> tuple[ClipTensor, ...]:
+    """Every stage's output map; cfg gives the clip shape, which the weights cannot check."""
+    want = cfg.input_dims + (IN_CHANNELS,)
+    if x.data.shape != want:
+        raise ConfigError(f"clip {x.data.shape} is not the model's {want} (T, H, W, channels)")
     check_finite("input", x.data)
     outputs = []
     for si, sw in enumerate(weights.stages):
         x = patch_embed(x, sw.embed)
         for bi, bw in enumerate(sw.blocks):
-            x = stpt_block(x, bw, cpe_enabled=cfg.cpe_enabled)
+            x = stpt_block(x, bw)
             check_finite(f"stage{si + 1} block{bi}", x.data)
         outputs.append(x)
-    return BackboneOutput(stages=tuple(outputs))
+    return tuple(outputs)

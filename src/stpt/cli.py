@@ -10,8 +10,10 @@ written included), 3 input-data error, 4 numeric failure, 5 out of memory.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -82,35 +84,44 @@ def _load_clip(cfg: RunConfig, rng: Rng) -> tuple[ClipTensor, str]:
     return ClipTensor(data), "synth"
 
 
+def _check_output_dir(outdir: Path) -> None:
+    """Raise, creating nothing, the OSError that making outdir would raise on a file in its path."""
+    for p in (outdir, *outdir.parents):
+        if p.exists() and not p.is_dir():
+            code = errno.EEXIST if p == outdir else errno.ENOTDIR
+            raise OSError(code, os.strerror(code), str(outdir))
+
+
 def cmd_forward(args: argparse.Namespace) -> int:
     cfg = _load(args)
+    outdir = Path(cfg.output_dir)
+    _check_output_dir(outdir)  # before the run, which takes seconds on the default model
     rng = Rng(cfg.seed)
     weights = init_model_weights(cfg.model, rng.child("model"))
     head_w = init_head_weights(cfg.model, cfg.det, rng.child("head"))
     clip, source = _load_clip(cfg, rng)
-    out = backbone_forward(clip, weights, cfg.model)
-    pyr = build_pyramid(out.stages[-2:], head_w,
+    stages = backbone_forward(clip, weights, cfg.model)
+    pyr = build_pyramid(stages[-2:], head_w,
                         clip_frames=cfg.model.input_dims[0], fps=cfg.det.clip_fps)
     coarse = predict_coarse(pyr, head_w)
     refined = refine(pyr, coarse, head_w)
     cands = decode(pyr, coarse, refined)
 
-    outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_bundle(outdir / "stages", {f"stage{i + 1}": t.data
-                                     for i, t in enumerate(out.stages)})
+                                     for i, t in enumerate(stages)})
     write_candidates(outdir / "detections.jsonl", cands)
     manifest = {
         "command": "forward",
         "seed": cfg.seed,
         "config_hash": cfg.config_hash(),
         "input": source,
-        "stage_shapes": [list(t.data.shape) for t in out.stages],
+        "stage_shapes": [list(t.data.shape) for t in stages],
         "pyramid_lengths": [lv.shape[0] for lv in pyr.levels],
         "num_candidates": len(cands),
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    for i, t in enumerate(out.stages):
+    for i, t in enumerate(stages):
         print(f"stage{i + 1}: {t.data.shape}")
     print(f"candidates: {len(cands)}")
     print(f"outputs written to {outdir}")

@@ -16,9 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InputError
-from .heads import (_RECORD_ERRORS, DetectionCandidate, _check_segment, _class_id,
-                    _json_records, _number, _text)
+from .errors import ConfigError
+from .heads import DetectionCandidate, _check_segment, _class_id, _json_records, _number, _text
 from .tensor import Rng
 
 # Rows of soft-NMS's tIoU table per `tiou` call: one call for the whole table
@@ -279,15 +278,12 @@ def write_ground_truth(path: str | Path, gts: list[GroundTruthInstance]) -> None
 
 def read_ground_truth(path: str | Path, num_classes: int) -> list[GroundTruthInstance]:
     """Read write_ground_truth output; class ids must lie in [0, num_classes)."""
-    out = []
-    for ln, d in _json_records(path, "read_ground_truth"):
-        try:
-            gt = GroundTruthInstance(video_id=_text(d["video_id"], "video_id"),
-                                     t_start=_number(d["t_start"], "t_start"),
-                                     t_end=_number(d["t_end"], "t_end"),
-                                     class_id=_class_id(d["class_id"], num_classes))
-            _check_segment(gt.t_start, gt.t_end)
-            out.append(gt)
-        except _RECORD_ERRORS as exc:
-            raise InputError(f"read_ground_truth: bad record at {path}:{ln}: {exc}") from exc
-    return out
+    def parse(d: dict) -> GroundTruthInstance:
+        gt = GroundTruthInstance(video_id=_text(d["video_id"], "video_id"),
+                                 t_start=_number(d["t_start"], "t_start"),
+                                 t_end=_number(d["t_end"], "t_end"),
+                                 class_id=_class_id(d["class_id"], num_classes))
+        _check_segment(gt.t_start, gt.t_end)
+        return gt
+
+    return _json_records(path, "read_ground_truth", parse)

@@ -17,7 +17,7 @@ import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -320,20 +320,17 @@ def _class_id(value: object, num_classes: int) -> int:
     return value
 
 
-# A bad record raises one of these while it is parsed (OverflowError: an integer
-# too large for a float); the readers turn it into an InputError naming the file
-# and line.
-_RECORD_ERRORS = (KeyError, ValueError, OverflowError)
-
-
-def _json_records(path: str | Path, reader: str) -> Iterator[tuple[int, dict]]:
-    """Stream (line number, JSON object) over the non-blank lines of a UTF-8 file.
+def _json_records(path: str | Path, reader: str, parse: Callable[[dict], object]) -> list:
+    """`parse` of each JSON object on the non-blank lines of a UTF-8 file.
 
     Lines end only at \\n, \\r\\n or \\r (not at every str.splitlines boundary),
     so a raw U+2028, U+2029 or U+0085 inside a JSON string stays in its record.
-    An unreadable file, or a line that is not one JSON object, is an InputError
-    from `reader` naming the file (and line).
+    An unreadable file is an InputError from `reader` naming the file, and a
+    line that is not one JSON object, or that `parse` rejects with a KeyError,
+    ValueError or OverflowError (an integer too large for a float), one naming
+    the file and line.
     """
+    out = []
     try:
         with open(path, encoding="utf-8") as fh:
             for ln, line in enumerate(fh, 1):
@@ -343,30 +340,28 @@ def _json_records(path: str | Path, reader: str) -> Iterator[tuple[int, dict]]:
                     record = json.loads(line)
                     if type(record) is not dict:
                         raise ValueError(f"{type(record).__name__} is not a JSON object")
-                except ValueError as exc:
+                    out.append(parse(record))
+                except (KeyError, ValueError, OverflowError) as exc:
                     raise InputError(f"{reader}: bad record at {path}:{ln}: {exc}") from exc
-                yield ln, record
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{reader}: cannot read {path}: {exc}") from exc
+    return out
 
 
 def read_candidates(path: str | Path, num_classes: int) -> list[DetectionCandidate]:
     """Read write_candidates output; class ids must lie in [0, num_classes)."""
-    out = []
-    for ln, d in _json_records(path, "read_candidates"):
-        try:
-            cand = DetectionCandidate(
-                t_start=_number(d["t_start"], "t_start"), t_end=_number(d["t_end"], "t_end"),
-                class_id=_class_id(d["class_id"], num_classes),
-                score=_number(d["score"], "score"),
-                level=_index(d.get("level", 0), "level"),
-                position=_index(d.get("position", 0), "position"),
-                video_id=_text(d.get("video_id", "clip"), "video_id"),
-            )
-            _check_segment(cand.t_start, cand.t_end)
-            if not math.isfinite(cand.score):
-                raise ValueError(f"non-finite score {cand.score}")
-            out.append(cand)
-        except _RECORD_ERRORS as exc:
-            raise InputError(f"read_candidates: bad record at {path}:{ln}: {exc}") from exc
-    return out
+    def parse(d: dict) -> DetectionCandidate:
+        cand = DetectionCandidate(
+            t_start=_number(d["t_start"], "t_start"), t_end=_number(d["t_end"], "t_end"),
+            class_id=_class_id(d["class_id"], num_classes),
+            score=_number(d["score"], "score"),
+            level=_index(d.get("level", 0), "level"),
+            position=_index(d.get("position", 0), "position"),
+            video_id=_text(d.get("video_id", "clip"), "video_id"),
+        )
+        _check_segment(cand.t_start, cand.t_end)
+        if not math.isfinite(cand.score):
+            raise ValueError(f"non-finite score {cand.score}")
+        return cand
+
+    return _json_records(path, "read_candidates", parse)

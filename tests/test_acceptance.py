@@ -44,10 +44,10 @@ def test_criterion_01_full_scale_stage_shapes(criterion):
         out = backbone_forward(x, w, cfg)
         elapsed = time.time() - t0
         print(json.dumps({
-            "shapes": [list(s.data.shape) for s in out.stages],
+            "shapes": [list(s.data.shape) for s in out],
             "elapsed": elapsed,
-            "dtype": str(out.stages[0].data.dtype),
-            "finite": bool(all(np.isfinite(s.data).all() for s in out.stages)),
+            "dtype": str(out[0].data.dtype),
+            "finite": bool(all(np.isfinite(s.data).all() for s in out)),
         }))
     """)
     env = dict(src_env(), OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",

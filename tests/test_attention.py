@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from stpt import attention
-from stpt.attention import (AttentionParams, ReductionSpec, gsta_forward, lsta_forward,
-                            merge_windows, partition_windows, reduce_kv)
+from stpt.attention import (AttentionParams, PartitionRecord, ReductionSpec, gsta_forward,
+                            lsta_forward, merge_windows, partition_windows, reduce_kv)
 from stpt.errors import ConfigError
-from stpt.tensor import ClipTensor, Conv3DWeights, LinearWeights, Rng, conv3d, softmax
+from stpt.tensor import (ClipTensor, Conv3DWeights, LinearWeights, Rng, conv3d,
+                         conv_output_extent, softmax)
 
 
 def _linear(rng, c, dtype):
@@ -181,6 +182,32 @@ def test_reduction_ratios_are_the_conv_stride():
         ReductionSpec(conv_k=conv(), conv_v=conv(padding=(0, 1, 1)))
     with pytest.raises(ConfigError, match="conv_k must be depth-wise"):
         ReductionSpec(conv_k=conv(groups=1), conv_v=conv())
+
+
+def _axis_cases():
+    """(extent, window, ratio) on one axis: windows that are a multiple of the
+    ratio, as check_window requires of local ones, or the whole axis, as a
+    global window is."""
+    for d in range(1, 19):
+        for r in range(1, 5):
+            yield from ((d, e, r) for e in range(r, 19, r))
+            yield d, d, r
+
+
+def test_reduced_grid_tiles_exactly_like_the_full_one():
+    # _attend relies on this: the reduction conv (kernel 3, padding 1, stride
+    # the ratios) of the padded map has extents red.orig, which tile into one
+    # reduced window per full-resolution window.
+    cases = list(_axis_cases())
+    n = len(cases)
+    for i in range(n):
+        axes = (cases[i], cases[(i + 7) % n], cases[(i + 101) % n])
+        dims, window, ratios = (tuple(a[j] for a in axes) for j in range(3))
+        rec = PartitionRecord.of(dims, window)
+        red = rec.reduced(ratios)
+        assert red.counts == rec.counts, axes
+        assert red.orig == tuple(conv_output_extent(p, 3, r, 1)
+                                 for p, r in zip(rec.padded, ratios)), axes
 
 
 def test_params_validation():

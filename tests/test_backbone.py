@@ -133,10 +133,10 @@ def test_zero_block_is_identity():
     # Zero attention and MLP weights leave only the residual path.
     c = 4
     x = ClipTensor(Rng(0).normal((3, 2, 2, c)))
-    out = stpt_block(x, _zero_block(c), cpe_enabled=False)
+    out = stpt_block(x, dataclasses.replace(_zero_block(c), cpe=None))
     np.testing.assert_array_equal(out.data, x.data)
     # Zero conv positional encoding adds nothing either.
-    out2 = stpt_block(x, _zero_block(c), cpe_enabled=True)
+    out2 = stpt_block(x, _zero_block(c))
     np.testing.assert_array_equal(out2.data, x.data)
 
 
@@ -149,8 +149,8 @@ def test_cpe_toggle_changes_output():
                           stride=(1, 1, 1), padding=(1, 1, 1), groups=c),
     )
     x = ClipTensor(rng.child("x").normal((3, 2, 2, c)))
-    with_cpe = stpt_block(x, block, cpe_enabled=True)
-    without = stpt_block(x, block, cpe_enabled=False)
+    with_cpe = stpt_block(x, block)
+    without = stpt_block(x, dataclasses.replace(block, cpe=None))
     assert not np.allclose(with_cpe.data, without.data)
     np.testing.assert_array_equal(without.data, x.data)
 
@@ -184,7 +184,7 @@ def test_init_biases_are_zero_so_zero_input_stays_zero():
     w = init_model_weights(cfg, Rng(4))
     x = ClipTensor(np.zeros((32, 24, 24, 3), dtype=np.float32))
     out = backbone_forward(x, w, cfg)
-    for stage_out in out.stages:
+    for stage_out in out:
         assert np.all(stage_out.data == 0.0)
 
 
@@ -193,10 +193,10 @@ def test_backbone_forward_shapes_match_config():
     w = init_model_weights(cfg, Rng(5))
     x = ClipTensor(Rng(6).normal((32, 24, 24, 3)).astype(np.float32))
     out = backbone_forward(x, w, cfg)
-    assert [s.dims for s in out.stages] == cfg.stage_dims()
-    assert [s.channels for s in out.stages] == [96, 192, 384, 768]
-    assert all(s.data.dtype == np.float32 for s in out.stages)
-    assert all(np.isfinite(s.data).all() for s in out.stages)
+    assert [s.dims for s in out] == cfg.stage_dims()
+    assert [s.channels for s in out] == [96, 192, 384, 768]
+    assert all(s.data.dtype == np.float32 for s in out)
+    assert all(np.isfinite(s.data).all() for s in out)
 
 
 def test_backbone_rejects_channel_mismatch():
@@ -204,6 +204,34 @@ def test_backbone_rejects_channel_mismatch():
     w = init_model_weights(cfg, Rng(9))
     with pytest.raises(ConfigError, match="channels"):
         backbone_forward(ClipTensor(np.zeros((32, 24, 24, 4), dtype=np.float32)), w, cfg)
+
+
+@pytest.mark.parametrize("dims", [(16, 24, 24), (64, 24, 24), (32, 24, 16)])
+def test_backbone_rejects_clip_of_another_shape(dims):
+    # The weights fit any clip length and size; only the config knows the one
+    # that pyramid_lengths and the cost model assume.
+    cfg = toy_config()
+    w = init_model_weights(cfg, Rng(9))
+    with pytest.raises(ConfigError, match=r"is not the model's \(32, 24, 24, 3\)"):
+        backbone_forward(ClipTensor(np.zeros(dims + (3,), dtype=np.float32)), w, cfg)
+
+
+@pytest.mark.parametrize("variant", ["LLLL", "LLGG", "GGGG"])
+def test_cpe_off_draws_no_cpe_and_keeps_every_other_weight(variant):
+    # Each weight's stream follows from the seed and its labels alone, so
+    # skipping the CPE draws leaves every other weight's bytes as they are.
+    on = init_model_weights(toy_config(variant), Rng(3).child("model"))
+    off = init_model_weights(toy_config(variant, cpe_enabled=False), Rng(3).child("model"))
+    assert all(bw.cpe is not None for sw in on.stages for bw in sw.blocks)
+    assert all(bw.cpe is None for sw in off.stages for bw in sw.blocks)
+    stripped = dataclasses.replace(on, stages=tuple(
+        dataclasses.replace(sw, blocks=tuple(dataclasses.replace(bw, cpe=None)
+                                             for bw in sw.blocks))
+        for sw in on.stages))
+    pairs = list(zip(_arrays(stripped), _arrays(off), strict=True))
+    assert len(pairs) > 40
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_patch_embed_downsamples():
@@ -225,7 +253,7 @@ def test_f32_stages_track_the_f64_oracle(variant):
         weights = init_model_weights(cfg, Rng(3).child("model"))
         clip = Rng(3).child("input").normal(cfg.input_dims + (3,))
         out = backbone_forward(ClipTensor(clip.astype(np_dtype)), weights, cfg)
-        stages[dtype] = [s.data for s in out.stages]
+        stages[dtype] = [s.data for s in out]
     for a32, a64 in zip(stages["f32"], stages["f64"]):
         assert a32.dtype == np.float32 and a64.dtype == np.float64
         gap = np.abs(a32 - a64).max() / np.abs(a64).max()
@@ -309,7 +337,7 @@ def test_blocked_mlp_and_depthwise_conv_are_bit_identical(monkeypatch, variant, 
         monkeypatch.setattr(tensor, "DW_SLAB_BYTES", budget)
         monkeypatch.setattr(backbone, "MLP_BLOCK_BYTES", budget)
         rows.clear()
-        runs[budget] = [s.data.tobytes() for s in backbone_forward(x, weights, cfg).stages]
+        runs[budget] = [s.data.tobytes() for s in backbone_forward(x, weights, cfg)]
     # rows now holds the MLP blocks of the one-byte run.
     assert len(rows) > sum(spec.depth for spec in cfg.stages)  # stage 1 and 2 MLPs split
     whole_maps = {math.prod(d) for d in cfg.stage_dims()}

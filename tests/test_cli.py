@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from conftest import src_env
 
+from stpt import cli
 from stpt.cli import main
 from stpt.config import load_run_config
 from stpt.costs import model_cost
@@ -299,6 +300,26 @@ def test_unwritable_output_path_exit_2(tmp_path, capsys, command, target):
     assert err.startswith(f"error: {command}: ")
     assert path in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target,errno_text", [
+    ("afile", "[Errno 17] File exists"), ("afile/sub", "[Errno 20] Not a directory"),
+], ids=["file", "under-file"])
+def test_forward_rejects_unwritable_output_before_the_run(tmp_path, capsys, monkeypatch,
+                                                          target, errno_text):
+    # The message is the one creating the directory would give, and it comes
+    # before any weight is drawn; nothing is created.
+    (tmp_path / "afile").write_text("")
+    ini = _toy_ini(tmp_path, outdir=target)
+
+    def never(*args):
+        raise AssertionError("forward drew weights for an unwritable output path")
+
+    monkeypatch.setattr(cli, "init_model_weights", never)
+    assert main(["forward", "--config", ini]) == 2
+    assert capsys.readouterr().err == f"error: forward: {errno_text}: '{tmp_path / target}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.ini"]
+    assert (tmp_path / "afile").read_text() == ""
 
 
 def test_missing_eval_inputs_exit_code(tmp_path, capsys):

@@ -194,9 +194,10 @@ def _array_sizes(obj) -> int:
     return 0
 
 
+@pytest.mark.parametrize("cpe", [True, False], ids=["cpe", "nocpe"])
 @pytest.mark.parametrize("variant", ["LLLL", "LLLG", "LLGG", "LGGG", "GGGG"])
-def test_param_count_matches_drawn_weights(variant):
-    cfg, det = toy_config(variant=variant), DetectionConfig()
+def test_param_count_matches_drawn_weights(variant, cpe):
+    cfg, det = toy_config(variant=variant, cpe_enabled=cpe), DetectionConfig()
     report = model_cost(cfg, det)
     weights = init_model_weights(cfg, Rng(0))
     head = init_head_weights(cfg, det, Rng(1))

@@ -37,7 +37,7 @@ def _toy_pipeline(seed=0, variant="LLGG"):
     hw = init_head_weights(cfg, det, Rng(seed).child("head"))
     x = ClipTensor(Rng(seed).child("input").normal(cfg.input_dims + (3,)).astype(np.float32))
     out = backbone_forward(x, w, cfg)
-    pyr = build_pyramid(out.stages[-2:], hw, clip_frames=cfg.input_dims[0], fps=det.clip_fps)
+    pyr = build_pyramid(out[-2:], hw, clip_frames=cfg.input_dims[0], fps=det.clip_fps)
     return cfg, det, hw, pyr
 
 
@@ -254,7 +254,7 @@ def toy_heads():
     w = init_model_weights(cfg, Rng(0).child("model"))
     hw = init_head_weights(cfg, det, Rng(0).child("head"))
     x = ClipTensor(Rng(0).child("input").normal(cfg.input_dims + (3,)).astype(np.float32))
-    stages = backbone_forward(x, w, cfg).stages[-2:]
+    stages = backbone_forward(x, w, cfg)[-2:]
     return cfg, det, hw, stages
 
 
